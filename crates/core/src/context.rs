@@ -52,6 +52,11 @@ pub struct ContextStats {
     /// that fell back to a scalar executor (lowerer rejected the shader,
     /// or the vertex stage, which is always scalar under `Spmd`).
     pub scalar_fallbacks: u64,
+    /// SPMD VM slots boxed into per-lane values across all draws: each
+    /// one is a slot whose live lanes held values of different types,
+    /// which sends the instructions touching it down the generic
+    /// per-lane paths. The f32 codec kernels report zero.
+    pub spmd_boxed_slots: u64,
     /// Typed `f32` tensors that crossed the host↔GPU boundary (uploads
     /// and readbacks alike). A fully quantized serving path performs
     /// **zero** of these after warmup — the a16 CI gate asserts exactly
@@ -84,6 +89,7 @@ impl ContextStats {
             textures_recycled: self.textures_recycled + other.textures_recycled,
             spmd_batches: self.spmd_batches + other.spmd_batches,
             scalar_fallbacks: self.scalar_fallbacks + other.scalar_fallbacks,
+            spmd_boxed_slots: self.spmd_boxed_slots + other.spmd_boxed_slots,
             f32_host_transfers: self.f32_host_transfers + other.f32_host_transfers,
             quantized_host_transfers: self.quantized_host_transfers
                 + other.quantized_host_transfers,
@@ -1198,6 +1204,7 @@ impl ComputeContext {
     fn note_draw(&mut self, stats: &DrawStats) {
         self.stats.spmd_batches += stats.spmd_batches;
         self.stats.scalar_fallbacks += stats.scalar_fallbacks;
+        self.stats.spmd_boxed_slots += stats.spmd_boxed_slots;
     }
 
     /// Counts one typed tensor crossing the host↔GPU boundary.

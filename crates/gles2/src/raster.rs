@@ -185,6 +185,11 @@ pub struct DrawStats {
     /// that fell back to a scalar executor because the lowerer rejected
     /// the shader.
     pub scalar_fallbacks: u64,
+    /// SPMD VM slots boxed into per-lane values by a type-changing
+    /// masked write (see `gpes_glsl::spmd::SpmdVm::take_boxings`); each
+    /// one sends the instructions touching that slot down the generic
+    /// per-lane paths.
+    pub spmd_boxed_slots: u64,
     /// Vertex-stage operation profile.
     pub vs_profile: OpProfile,
     /// Fragment-stage operation profile (drives the `gpes-perf` model).
@@ -636,6 +641,7 @@ struct BandStats {
     written: u64,
     spmd_batches: u64,
     scalar_fallbacks: u64,
+    spmd_boxed_slots: u64,
     profile: OpProfile,
 }
 
@@ -801,6 +807,7 @@ fn raster_triangle(
         stats.pixels_written += band.written;
         stats.spmd_batches += band.spmd_batches;
         stats.scalar_fallbacks += band.scalar_fallbacks;
+        stats.spmd_boxed_slots += band.spmd_boxed_slots;
         stats.fs_profile.merge(&band.profile);
     }
     Ok(true)
@@ -866,6 +873,7 @@ fn flush_spmd_batch(
     let result = vm.run_batch(n);
     band.spmd_batches += 1;
     band.scalar_fallbacks += vm.take_replays();
+    band.spmd_boxed_slots += vm.take_boxings();
     let retired = match &result {
         Ok(()) => n,
         Err(e) => e.lane,
@@ -1095,6 +1103,7 @@ fn raster_points(
     stats.pixels_written += band.written;
     stats.spmd_batches += band.spmd_batches;
     stats.scalar_fallbacks += band.scalar_fallbacks;
+    stats.spmd_boxed_slots += band.spmd_boxed_slots;
     stats.fs_profile.merge(&fs.take_profile());
     Ok(())
 }

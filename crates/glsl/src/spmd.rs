@@ -11,7 +11,7 @@
 //! small typed array instead of eight tagged-enum manipulations.
 //!
 //! Slots whose lanes cannot be represented uniformly (samplers, arrays,
-//! matrices, bvecs, or divergent writes that change a slot's type for a
+//! matrices, bvecs, or masked writes that change a slot's type for a
 //! subset of lanes) degrade to `Slot::Boxed`, a boxed `[Value; 8]`
 //! that preserves exact per-lane values; every instruction has a generic
 //! per-lane fallback that applies the same `ops` / `builtins` routines as
@@ -33,14 +33,29 @@
 //! furthest-behind compatible pending context so laggards catch up.
 //! `discard` simply retires the lanes of the executing context.
 //!
-//! While any deferred context exists, writes to shared slots are
-//! *masked*: only the current context's lanes are touched and the other
-//! lanes' values are preserved (falling back to `Slot::Boxed` when a
-//! masked write changes the slot's type). When no context is pending —
-//! the overwhelmingly common uniform-flow case — stack and locals slots
-//! are written wholesale, which keeps the hot loops branch-free and
-//! vectorisable. Globals are always written masked, because retired
-//! lanes' outputs (`gl_FragColor`) are read after the batch.
+//! Stack and locals writes are *wholesale* (the whole SoA slot is
+//! replaced, every lane at once) whenever no deferred context can read
+//! the slot again. The scheduler keeps two watermarks over the pending
+//! contexts, updated whenever a context is deferred, merged or resumed:
+//! `stack_live`, the highest pending `sp`, and `locals_live`, the highest
+//! pending `frame_end`. A suspended context only reads the operand stack
+//! below its own `sp` and locals below its own `frame_end`; every deeper
+//! slot (a push, a callee frame, a declared local, which the lowerer
+//! always initialises) it writes before reading. Lanes in no context
+//! are retired and their stack and locals are dead. So a stack write at
+//! index ≥ `stack_live`, or a locals write at index ≥ `locals_live`,
+//! cannot destroy a value any lane will read, and it may clobber every
+//! lane outside the current mask. With nothing pending both watermarks
+//! are 0: the uniform-flow case, where every write is wholesale.
+//!
+//! Below the watermarks writes are *masked*: only the current context's
+//! lanes change. A masked write that changes the slot's type boxes the
+//! slot (`Slot::Boxed`, counted by [`SpmdVm::take_boxings`]) — that
+//! only happens when live lanes genuinely hold values of different
+//! types, such as a `bool` temporary of an `else` branch written over
+//! the `float` result the deferred `then` lanes still hold. Globals are
+//! always written masked, because retired lanes' outputs
+//! (`gl_FragColor`) are read after the batch.
 //!
 //! # Bit-identity with the scalar VM
 //!
@@ -162,6 +177,17 @@ fn reschedule(cur: &mut Ctx, pending: &mut Vec<Ctx>) {
     }
 }
 
+/// The pending contexts' live range `(stack_live, locals_live)`: the
+/// highest `sp` and the highest `frame_end` among them. No pending
+/// context reads a stack slot at or above the first, or a locals slot at
+/// or above the second, before writing it, so writes there may be
+/// wholesale (see the module docs).
+fn live_range(pending: &[Ctx]) -> (usize, usize) {
+    pending
+        .iter()
+        .fold((0, 0), |(s, l), p| (s.max(p.sp), l.max(p.frame_end)))
+}
+
 /// Iterates the set bits of a lane mask.
 macro_rules! for_lanes {
     ($mask:expr, $lane:ident => $body:block) => {{
@@ -217,18 +243,11 @@ impl Slot {
         }
     }
 
-    /// Converts in place to [`Slot::Boxed`], preserving every lane.
-    fn boxify(&mut self) {
-        if matches!(self, Slot::Boxed(_)) {
-            return;
-        }
-        let b: Box<[Value; MAX_LANES]> = Box::new(std::array::from_fn(|lane| self.get(lane)));
-        *self = Slot::Boxed(b);
-    }
-
-    /// Writes one lane's value, preserving the other lanes (boxing the
-    /// slot if the value's type no longer matches the slot's variant).
-    fn set(&mut self, lane: usize, v: Value) {
+    /// Writes one lane's value, preserving the other lanes. If the
+    /// value's type no longer matches the slot's variant the slot is
+    /// converted to [`Slot::Boxed`] (every lane kept), counted in
+    /// `boxings`.
+    fn set(&mut self, lane: usize, v: Value, boxings: &mut u64) {
         match (&mut *self, v) {
             (Slot::F(x), Value::Float(v)) => x[lane] = v,
             (Slot::I(x), Value::Int(v)) => x[lane] = v,
@@ -238,16 +257,16 @@ impl Slot {
             (Slot::V4(x), Value::Vec4(v)) => x[lane] = v,
             (Slot::Boxed(b), v) => b[lane] = v,
             (slot, v) => {
-                slot.boxify();
-                if let Slot::Boxed(b) = slot {
-                    b[lane] = v;
-                }
+                *boxings += 1;
+                let mut b: Box<[Value; MAX_LANES]> = Box::new(std::array::from_fn(|l| slot.get(l)));
+                b[lane] = v;
+                *slot = Slot::Boxed(b);
             }
         }
     }
 
     /// Copies `mask` lanes from `src`, preserving the rest.
-    fn copy_masked_from(&mut self, src: &Slot, mask: u8) {
+    fn copy_masked_from(&mut self, src: &Slot, mask: u8, boxings: &mut u64) {
         match (&mut *self, src) {
             (Slot::F(d), Slot::F(s)) => for_lanes!(mask, l => { d[l] = s[l]; }),
             (Slot::I(d), Slot::I(s)) => for_lanes!(mask, l => { d[l] = s[l]; }),
@@ -256,19 +275,70 @@ impl Slot {
             (Slot::V3(d), Slot::V3(s)) => for_lanes!(mask, l => { d[l] = s[l]; }),
             (Slot::V4(d), Slot::V4(s)) => for_lanes!(mask, l => { d[l] = s[l]; }),
             (Slot::Boxed(d), Slot::Boxed(s)) => for_lanes!(mask, l => { d[l] = s[l].clone(); }),
-            (dst, src) => for_lanes!(mask, l => { dst.set(l, src.get(l)); }),
+            (dst, src) => for_lanes!(mask, l => { dst.set(l, src.get(l), boxings); }),
         }
     }
 
-    /// Copies from `src`: wholesale when this context runs alone (dead
-    /// lanes may be clobbered), masked otherwise.
-    fn write_from(&mut self, src: &Slot, mask: u8, solo: bool) {
-        if solo {
+    /// Copies from `src`: wholesale when `wide` (no live lane outside
+    /// `mask` — see the module docs), masked otherwise.
+    fn write_from(&mut self, src: &Slot, mask: u8, wide: bool, boxings: &mut u64) {
+        if wide {
             self.clone_from(src);
         } else {
-            self.copy_masked_from(src, mask);
+            self.copy_masked_from(src, mask, boxings);
         }
     }
+
+    /// Stores a freshly computed slot: replaces this one when `wide`,
+    /// otherwise copies only the `mask` lanes in.
+    fn put(&mut self, new: Slot, mask: u8, wide: bool, boxings: &mut u64) {
+        if wide {
+            *self = new;
+        } else {
+            self.copy_masked_from(&new, mask, boxings);
+        }
+    }
+
+    /// Moves `src` in for the `mask` lanes. `src_dead` says no lane reads
+    /// `src` again, so a wide move may swap instead of cloning.
+    fn take_from(
+        &mut self,
+        src: &mut Slot,
+        mask: u8,
+        wide: bool,
+        src_dead: bool,
+        boxings: &mut u64,
+    ) {
+        if wide && src_dead {
+            std::mem::swap(self, src);
+        } else {
+            self.write_from(src, mask, wide, boxings);
+        }
+    }
+
+    /// Stores per-lane results of a generic path for the `mask` lanes.
+    /// When `wide` the slot is rebuilt in the first lane's variant, so a
+    /// result whose type differs from the old contents does not box it.
+    fn put_values(
+        &mut self,
+        vals: &mut [Value; MAX_LANES],
+        mask: u8,
+        wide: bool,
+        boxings: &mut u64,
+    ) {
+        if wide {
+            let first = mask.trailing_zeros() as usize;
+            *self = Slot::splat(&vals[first]);
+        }
+        for_lanes!(mask, l => {
+            self.set(l, std::mem::replace(&mut vals[l], Value::Bool(false)), boxings);
+        });
+    }
+}
+
+/// Filler for the per-lane result buffers of the generic paths.
+fn no_values() -> [Value; MAX_LANES] {
+    std::array::from_fn(|_| Value::Bool(false))
 }
 
 /// Executes batches of up to [`MAX_LANES`] invocations of one lowered
@@ -296,6 +366,9 @@ pub struct SpmdVm<'a> {
     /// Cost of running the global initialisers, counted once per VM —
     /// exactly like the scalar VM counts chunk 0 once in `with_model`.
     init_profile: OpProfile,
+    /// Per-lane profiles at the start of the current batch, restored
+    /// before a lane-by-lane replay.
+    batch_start_profiles: Vec<OpProfile>,
     /// Reusable per-lane argument buffer for generic builtin dispatch.
     arg_buf: Vec<Value>,
     discarded: [bool; MAX_LANES],
@@ -303,6 +376,9 @@ pub struct SpmdVm<'a> {
     wrote_frag_data: [bool; MAX_LANES],
     completed: [bool; MAX_LANES],
     replays: u64,
+    /// Typed slots converted to [`Slot::Boxed`] by a type-changing
+    /// masked write since the last [`SpmdVm::take_boxings`].
+    boxings: u64,
 }
 
 impl<'a> SpmdVm<'a> {
@@ -339,12 +415,14 @@ impl<'a> SpmdVm<'a> {
             loop_counters: vec![Vec::new(); lanes],
             profiles: vec![OpProfile::new(); lanes],
             init_profile: OpProfile::new(),
+            batch_start_profiles: vec![OpProfile::new(); lanes],
             arg_buf: Vec::new(),
             discarded: [false; MAX_LANES],
             wrote_frag_color: [false; MAX_LANES],
             wrote_frag_data: [false; MAX_LANES],
             completed: [false; MAX_LANES],
             replays: 0,
+            boxings: 0,
         };
         // A single-lane run through the SPMD engine is exactly a scalar
         // run; use it for chunk 0 on lane 0, then broadcast.
@@ -396,7 +474,7 @@ impl<'a> SpmdVm<'a> {
     /// Sets a global by pre-resolved slot on one lane (per-fragment
     /// inputs: varyings, `gl_FragCoord`).
     pub fn set_lane_slot(&mut self, lane: usize, slot: u32, value: Value) {
-        self.globals[slot as usize].set(lane, value);
+        self.globals[slot as usize].set(lane, value, &mut self.boxings);
     }
 
     /// Resolves a global name to its slot (see
@@ -484,6 +562,15 @@ impl<'a> SpmdVm<'a> {
         std::mem::take(&mut self.replays)
     }
 
+    /// Number of typed stack, locals or global slots converted to the
+    /// boxed per-lane representation since the last call: each one sends
+    /// the instructions that touch that slot down the generic per-lane
+    /// paths. Only a masked write whose type differs from values other
+    /// live lanes hold in the slot boxes it (see the module docs).
+    pub fn take_boxings(&mut self) -> u64 {
+        std::mem::take(&mut self.boxings)
+    }
+
     /// Runs `main()` once on lanes `0..active`.
     ///
     /// On success every lane completed (check [`SpmdVm::discarded`] and
@@ -498,7 +585,7 @@ impl<'a> SpmdVm<'a> {
     pub fn run_batch(&mut self, active: usize) -> Result<(), BatchError> {
         assert!(active >= 1 && active <= self.lanes, "bad batch width");
         let mask = ((1u16 << active) - 1) as u8;
-        let snapshot: Vec<OpProfile> = self.profiles[..active].to_vec();
+        self.batch_start_profiles[..active].copy_from_slice(&self.profiles[..active]);
         for lane in 0..active {
             self.begin_invocation(lane);
         }
@@ -512,7 +599,7 @@ impl<'a> SpmdVm<'a> {
                 // Lockstep state is torn mid-instruction; discard it and
                 // replay each lane alone, which is exactly scalar.
                 self.replays += 1;
-                self.profiles[..active].clone_from_slice(&snapshot);
+                self.profiles[..active].copy_from_slice(&self.batch_start_profiles[..active]);
                 for lane in 0..active {
                     self.begin_invocation(lane);
                     match self.exec(1 << lane, self.exe.main_chunk) {
@@ -533,7 +620,7 @@ impl<'a> SpmdVm<'a> {
         self.wrote_frag_data[lane] = false;
         self.loop_counters[lane].clear();
         for (slot, value) in &self.reset_list {
-            self.globals[*slot as usize].set(lane, value.clone());
+            self.globals[*slot as usize].set(lane, value.clone(), &mut self.boxings);
         }
         self.profiles[lane].invocations += 1;
     }
@@ -556,7 +643,7 @@ impl<'a> SpmdVm<'a> {
     /// typed fast paths, writing the result to `sp-2`. Returns `false`
     /// (with no state mutated) when the operand shapes need the generic
     /// per-lane path.
-    fn binary_fast(&mut self, op: BinOp, sp: usize, mask: u8, solo: bool) -> bool {
+    fn binary_fast(&mut self, op: BinOp, sp: usize, mask: u8, wide: bool) -> bool {
         use BinOp::*;
         let model = self.model;
         let is_arith = matches!(op, Add | Sub | Mul | Div);
@@ -580,7 +667,7 @@ impl<'a> SpmdVm<'a> {
                 if !is_arith {
                     return false;
                 }
-                if solo {
+                if wide {
                     for i in 0..MAX_LANES {
                         for c in 0..$n {
                             $x[i][c] = model.round_alu(fop($x[i][c], $y[i][c]));
@@ -602,7 +689,7 @@ impl<'a> SpmdVm<'a> {
                 if !is_arith {
                     return false;
                 }
-                if solo {
+                if wide {
                     for i in 0..MAX_LANES {
                         for c in 0..$n {
                             $x[i][c] = model.round_alu(fop($x[i][c], $y[i]));
@@ -622,7 +709,7 @@ impl<'a> SpmdVm<'a> {
         match (&mut *a, b) {
             (Slot::F(x), Slot::F(y)) => {
                 if is_arith {
-                    if solo {
+                    if wide {
                         for i in 0..MAX_LANES {
                             x[i] = model.round_alu(fop(x[i], y[i]));
                         }
@@ -646,11 +733,7 @@ impl<'a> SpmdVm<'a> {
                             };
                         });
                         bump_alu!(1);
-                        if solo {
-                            *a = Slot::B(r);
-                        } else {
-                            for_lanes!(mask, l => { a.set(l, Value::Bool(r[l])); });
-                        }
+                        a.put(Slot::B(r), mask, wide, &mut self.boxings);
                         true
                     }
                     _ => false,
@@ -670,7 +753,7 @@ impl<'a> SpmdVm<'a> {
                             }
                         }
                     };
-                    if solo {
+                    if wide {
                         for i in 0..MAX_LANES {
                             x[i] = g(x[i], y[i]);
                         }
@@ -694,11 +777,7 @@ impl<'a> SpmdVm<'a> {
                             };
                         });
                         bump_alu!(1);
-                        if solo {
-                            *a = Slot::B(r);
-                        } else {
-                            for_lanes!(mask, l => { a.set(l, Value::Bool(r[l])); });
-                        }
+                        a.put(Slot::B(r), mask, wide, &mut self.boxings);
                         true
                     }
                     _ => false,
@@ -741,13 +820,20 @@ impl<'a> SpmdVm<'a> {
 
     /// Generic per-lane binary operator: materialises both operands and
     /// applies the scalar VM's [`ops::apply_binary`] exactly.
-    fn binary_generic(&mut self, op: BinOp, sp: usize, mask: u8) -> Result<(), RuntimeError> {
+    fn binary_generic(
+        &mut self,
+        op: BinOp,
+        sp: usize,
+        mask: u8,
+        wide: bool,
+    ) -> Result<(), RuntimeError> {
+        let mut out = no_values();
         for_lanes!(mask, l => {
             let bv = self.stack[sp - 1].get(l);
             let av = self.stack[sp - 2].get(l);
-            let r = ops::apply_binary(self.model, &mut self.profiles[l], op, av, bv)?;
-            self.stack[sp - 2].set(l, r);
+            out[l] = ops::apply_binary(self.model, &mut self.profiles[l], op, av, bv)?;
         });
+        self.stack[sp - 2].put_values(&mut out, mask, wide, &mut self.boxings);
         Ok(())
     }
 
@@ -757,7 +843,7 @@ impl<'a> SpmdVm<'a> {
     /// must take the generic per-lane path — including every case where
     /// the scalar builtin would error.
     #[allow(clippy::type_complexity)] // fn-pointer dispatch tables
-    fn fast_builtin(&mut self, name: &str, s: usize, argc: usize, mask: u8, solo: bool) -> bool {
+    fn fast_builtin(&mut self, name: &str, s: usize, argc: usize, mask: u8, wide: bool) -> bool {
         use std::f32::consts::PI;
         let model = self.model;
 
@@ -806,7 +892,7 @@ impl<'a> SpmdVm<'a> {
                 };
                 macro_rules! m1_vec {
                     ($x:ident, $n:expr) => {{
-                        if solo {
+                        if wide {
                             for i in 0..MAX_LANES {
                                 for c in 0..$n {
                                     $x[i][c] = round(f($x[i][c]));
@@ -831,7 +917,7 @@ impl<'a> SpmdVm<'a> {
                 }
                 return match &mut self.stack[s] {
                     Slot::F(x) => {
-                        if solo {
+                        if wide {
                             for v in x.iter_mut() {
                                 *v = round(f(*v));
                             }
@@ -890,7 +976,7 @@ impl<'a> SpmdVm<'a> {
                 }
                 macro_rules! m2_vec_vec {
                     ($x:ident, $y:ident, $n:expr) => {{
-                        if solo {
+                        if wide {
                             for i in 0..MAX_LANES {
                                 for c in 0..$n {
                                     $x[i][c] = round(f($x[i][c], $y[i][c]));
@@ -909,7 +995,7 @@ impl<'a> SpmdVm<'a> {
                 }
                 macro_rules! m2_vec_scalar {
                     ($x:ident, $y:ident, $n:expr) => {{
-                        if solo {
+                        if wide {
                             for i in 0..MAX_LANES {
                                 for c in 0..$n {
                                     $x[i][c] = round(f($x[i][c], $y[i]));
@@ -928,7 +1014,7 @@ impl<'a> SpmdVm<'a> {
                 }
                 return match (&mut *a, b) {
                     (Slot::F(x), Slot::F(y)) => {
-                        if solo {
+                        if wide {
                             for i in 0..MAX_LANES {
                                 x[i] = round(f(x[i], y[i]));
                             }
@@ -963,7 +1049,7 @@ impl<'a> SpmdVm<'a> {
                             }
                             self.profiles[l].alu_ops += $n;
                         });
-                        self.write_vec_result(s, $n, &out, mask, solo);
+                        self.write_vec_result(s, $n, &out, mask, wide);
                         true
                     }};
                 }
@@ -1001,11 +1087,7 @@ impl<'a> SpmdVm<'a> {
                             out[l] = acc;
                             self.profiles[l].alu_ops += 2 * $n;
                         });
-                        if solo {
-                            *a = Slot::F(out);
-                        } else {
-                            for_lanes!(mask, l => { a.set(l, Value::Float(out[l])); });
-                        }
+                        a.put(Slot::F(out), mask, wide, &mut self.boxings);
                         true
                     }};
                 }
@@ -1036,7 +1118,7 @@ impl<'a> SpmdVm<'a> {
                     out[l] = self.textures.sample(unit, coords[l]);
                     self.profiles[l].tex_fetches += 1;
                 });
-                self.write_vec_result(s, 4, &out, mask, solo);
+                self.write_vec_result(s, 4, &out, mask, wide);
                 return true;
             }
         }
@@ -1086,14 +1168,10 @@ impl<'a> SpmdVm<'a> {
                 self.profiles[l].alu_ops += 2 * n as u64;
             });
             if n == 1 {
-                let r: [f32; MAX_LANES] = std::array::from_fn(|l| out[l][0]);
-                if solo {
-                    self.stack[s] = Slot::F(r);
-                } else {
-                    for_lanes!(mask, l => { self.stack[s].set(l, Value::Float(r[l])); });
-                }
+                let r = Slot::F(std::array::from_fn(|l| out[l][0]));
+                self.stack[s].put(r, mask, wide, &mut self.boxings);
             } else {
-                self.write_vec_result(s, n, &out, mask, solo);
+                self.write_vec_result(s, n, &out, mask, wide);
             }
             return true;
         }
@@ -1127,18 +1205,12 @@ impl<'a> SpmdVm<'a> {
                     _ => return false,
                 };
                 for_lanes!(mask, l => { self.profiles[l].alu_ops += comps; });
-                if to_int {
-                    let r: [i32; MAX_LANES] = std::array::from_fn(|l| out[l] as i32);
-                    if solo {
-                        self.stack[s] = Slot::I(r);
-                    } else {
-                        for_lanes!(mask, l => { self.stack[s].set(l, Value::Int(r[l])); });
-                    }
-                } else if solo {
-                    self.stack[s] = Slot::F(out);
+                let r = if to_int {
+                    Slot::I(std::array::from_fn(|l| out[l] as i32))
                 } else {
-                    for_lanes!(mask, l => { self.stack[s].set(l, Value::Float(out[l])); });
-                }
+                    Slot::F(out)
+                };
+                self.stack[s].put(r, mask, wide, &mut self.boxings);
                 true
             }
             "vec2" | "vec3" | "vec4" => {
@@ -1199,7 +1271,7 @@ impl<'a> SpmdVm<'a> {
                     }
                     self.profiles[l].alu_ops += total as u64;
                 });
-                self.write_vec_result(s, dim, &out, mask, solo);
+                self.write_vec_result(s, dim, &out, mask, wide);
                 true
             }
             _ => false,
@@ -1214,36 +1286,14 @@ impl<'a> SpmdVm<'a> {
         n: usize,
         out: &[[f32; 4]; MAX_LANES],
         mask: u8,
-        solo: bool,
+        wide: bool,
     ) {
-        match n {
-            2 => {
-                if solo {
-                    self.stack[s] = Slot::V2(std::array::from_fn(|l| [out[l][0], out[l][1]]));
-                } else {
-                    for_lanes!(mask, l => {
-                        self.stack[s].set(l, Value::Vec2([out[l][0], out[l][1]]));
-                    });
-                }
-            }
-            3 => {
-                if solo {
-                    self.stack[s] =
-                        Slot::V3(std::array::from_fn(|l| [out[l][0], out[l][1], out[l][2]]));
-                } else {
-                    for_lanes!(mask, l => {
-                        self.stack[s].set(l, Value::Vec3([out[l][0], out[l][1], out[l][2]]));
-                    });
-                }
-            }
-            _ => {
-                if solo {
-                    self.stack[s] = Slot::V4(std::array::from_fn(|l| out[l]));
-                } else {
-                    for_lanes!(mask, l => { self.stack[s].set(l, Value::Vec4(out[l])); });
-                }
-            }
-        }
+        let r = match n {
+            2 => Slot::V2(std::array::from_fn(|l| [out[l][0], out[l][1]])),
+            3 => Slot::V3(std::array::from_fn(|l| [out[l][0], out[l][1], out[l][2]])),
+            _ => Slot::V4(*out),
+        };
+        self.stack[s].put(r, mask, wide, &mut self.boxings);
     }
 
     /// Runs `chunk` to completion for the lanes in `mask`, scheduling
@@ -1263,12 +1313,18 @@ impl<'a> SpmdVm<'a> {
         };
         self.ensure_locals(cur.frame_end);
         let mut pending: Vec<Ctx> = Vec::new();
+        // The pending contexts' live range (see `live_range`): stack
+        // writes at or above `stack_live` and locals writes at or above
+        // `locals_live` are wholesale. Refreshed at every scheduling
+        // event that changes `pending`.
+        let (mut stack_live, mut locals_live) = (0usize, 0usize);
 
         macro_rules! next_ctx {
             () => {{
                 match pending.pop() {
                     Some(p) => {
                         cur = p;
+                        (stack_live, locals_live) = live_range(&pending);
                         continue;
                     }
                     None => return Ok(()),
@@ -1279,6 +1335,7 @@ impl<'a> SpmdVm<'a> {
         loop {
             // Merge any pending context that has caught up to `cur`.
             if !pending.is_empty() {
+                let before = pending.len();
                 let mut i = 0;
                 while i < pending.len() {
                     if same_point(&pending[i], &cur) {
@@ -1289,12 +1346,10 @@ impl<'a> SpmdVm<'a> {
                         i += 1;
                     }
                 }
+                if pending.len() != before {
+                    (stack_live, locals_live) = live_range(&pending);
+                }
             }
-            // With no deferred context, this context is the only live
-            // one: slots may be overwritten wholesale (retired lanes'
-            // stack and locals are dead). Globals stay masked — see the
-            // module docs.
-            let solo = pending.is_empty();
             let code = &exe.chunks[cur.chunk as usize].code;
             if cur.pc >= code.len() {
                 // Fell off the end: only the initialiser chunk and
@@ -1306,14 +1361,9 @@ impl<'a> SpmdVm<'a> {
             match &code[cur.pc] {
                 Insn::Const(i) => {
                     self.ensure_stack(cur.sp + 1);
-                    let v = &exe.consts[*i as usize];
-                    if solo {
-                        self.stack[cur.sp] = Slot::splat(v);
-                    } else {
-                        for_lanes!(cur.mask, lane => {
-                            self.stack[cur.sp].set(lane, v.clone());
-                        });
-                    }
+                    let v = Slot::splat(&exe.consts[*i as usize]);
+                    let wide = cur.sp >= stack_live;
+                    self.stack[cur.sp].put(v, cur.mask, wide, &mut self.boxings);
                     cur.sp += 1;
                 }
                 Insn::LoadGlobal(s) => {
@@ -1321,108 +1371,140 @@ impl<'a> SpmdVm<'a> {
                     // Globals and stack are disjoint fields; copy via
                     // split borrow.
                     let (stack, globals) = (&mut self.stack, &self.globals);
-                    stack[cur.sp].write_from(&globals[*s as usize], cur.mask, solo);
+                    let wide = cur.sp >= stack_live;
+                    stack[cur.sp].write_from(
+                        &globals[*s as usize],
+                        cur.mask,
+                        wide,
+                        &mut self.boxings,
+                    );
                     cur.sp += 1;
                 }
                 Insn::LoadLocal(s) => {
                     self.ensure_stack(cur.sp + 1);
                     let (stack, locals) = (&mut self.stack, &self.locals);
-                    stack[cur.sp].write_from(&locals[fb + *s as usize], cur.mask, solo);
+                    let wide = cur.sp >= stack_live;
+                    stack[cur.sp].write_from(
+                        &locals[fb + *s as usize],
+                        cur.mask,
+                        wide,
+                        &mut self.boxings,
+                    );
                     cur.sp += 1;
                 }
                 Insn::StoreLocal(s) => {
                     cur.sp -= 1;
                     let dst = fb + *s as usize;
-                    if solo {
-                        std::mem::swap(&mut self.locals[dst], &mut self.stack[cur.sp]);
-                    } else {
-                        let (stack, locals) = (&self.stack, &mut self.locals);
-                        locals[dst].copy_masked_from(&stack[cur.sp], cur.mask);
-                    }
+                    // The popped stack slot is dead for `cur`; it may be
+                    // swapped out only if it is dead for the pending
+                    // contexts too.
+                    self.locals[dst].take_from(
+                        &mut self.stack[cur.sp],
+                        cur.mask,
+                        dst >= locals_live,
+                        cur.sp >= stack_live,
+                        &mut self.boxings,
+                    );
                 }
                 Insn::StoreGlobalPop(s) => {
                     cur.sp -= 1;
                     // Always masked: retired lanes' outputs must survive.
                     let (stack, globals) = (&self.stack, &mut self.globals);
-                    globals[*s as usize].copy_masked_from(&stack[cur.sp], cur.mask);
+                    globals[*s as usize].copy_masked_from(
+                        &stack[cur.sp],
+                        cur.mask,
+                        &mut self.boxings,
+                    );
                 }
                 Insn::Dup => {
                     self.ensure_stack(cur.sp + 1);
                     let (lo, hi) = self.stack.split_at_mut(cur.sp);
-                    hi[0].write_from(&lo[cur.sp - 1], cur.mask, solo);
+                    hi[0].write_from(
+                        &lo[cur.sp - 1],
+                        cur.mask,
+                        cur.sp >= stack_live,
+                        &mut self.boxings,
+                    );
                     cur.sp += 1;
                 }
                 Insn::Pop => cur.sp -= 1,
                 Insn::Swap => {
-                    if solo {
+                    if cur.sp - 2 >= stack_live {
                         self.stack.swap(cur.sp - 1, cur.sp - 2);
                     } else {
                         let (lo, hi) = self.stack.split_at_mut(cur.sp - 1);
-                        for_lanes!(cur.mask, lane => {
-                            let a = hi[0].get(lane);
-                            let b = lo[cur.sp - 2].get(lane);
-                            hi[0].set(lane, b);
-                            lo[cur.sp - 2].set(lane, a);
-                        });
+                        let top = hi[0].clone();
+                        hi[0].copy_masked_from(&lo[cur.sp - 2], cur.mask, &mut self.boxings);
+                        lo[cur.sp - 2].copy_masked_from(&top, cur.mask, &mut self.boxings);
                     }
                 }
-                Insn::Neg => match &mut self.stack[cur.sp - 1] {
-                    Slot::F(x) => {
-                        if solo {
-                            for v in x.iter_mut() {
-                                *v = -*v;
+                Insn::Neg => {
+                    let top = cur.sp - 1;
+                    let wide = top >= stack_live;
+                    match &mut self.stack[top] {
+                        Slot::F(x) => {
+                            if wide {
+                                for v in x.iter_mut() {
+                                    *v = -*v;
+                                }
+                            } else {
+                                for_lanes!(cur.mask, lane => { x[lane] = -x[lane]; });
                             }
-                        } else {
-                            for_lanes!(cur.mask, lane => { x[lane] = -x[lane]; });
+                        }
+                        Slot::I(x) => {
+                            if wide {
+                                for v in x.iter_mut() {
+                                    *v = v.wrapping_neg();
+                                }
+                            } else {
+                                for_lanes!(cur.mask, lane => { x[lane] = x[lane].wrapping_neg(); });
+                            }
+                        }
+                        Slot::V2(x) => {
+                            for_lanes!(cur.mask, lane => { x[lane] = x[lane].map(|v| -v); });
+                        }
+                        Slot::V3(x) => {
+                            for_lanes!(cur.mask, lane => { x[lane] = x[lane].map(|v| -v); });
+                        }
+                        Slot::V4(x) => {
+                            for_lanes!(cur.mask, lane => { x[lane] = x[lane].map(|v| -v); });
+                        }
+                        slot => {
+                            let mut out = no_values();
+                            for_lanes!(cur.mask, lane => { out[lane] = ops::negate(slot.get(lane))?; });
+                            slot.put_values(&mut out, cur.mask, wide, &mut self.boxings);
                         }
                     }
-                    Slot::I(x) => {
-                        if solo {
-                            for v in x.iter_mut() {
-                                *v = v.wrapping_neg();
+                }
+                Insn::Not => {
+                    let top = cur.sp - 1;
+                    let wide = top >= stack_live;
+                    match &mut self.stack[top] {
+                        Slot::B(x) => {
+                            if wide {
+                                for v in x.iter_mut() {
+                                    *v = !*v;
+                                }
+                            } else {
+                                for_lanes!(cur.mask, lane => { x[lane] = !x[lane]; });
                             }
-                        } else {
-                            for_lanes!(cur.mask, lane => { x[lane] = x[lane].wrapping_neg(); });
+                        }
+                        slot => {
+                            let mut out = no_values();
+                            for_lanes!(cur.mask, lane => {
+                                let b = slot.get(lane).as_bool().ok_or_else(|| RuntimeError::Type {
+                                    message: "`!` requires bool".into(),
+                                })?;
+                                out[lane] = Value::Bool(!b);
+                            });
+                            slot.put_values(&mut out, cur.mask, wide, &mut self.boxings);
                         }
                     }
-                    Slot::V2(x) => {
-                        for_lanes!(cur.mask, lane => { x[lane] = x[lane].map(|v| -v); });
-                    }
-                    Slot::V3(x) => {
-                        for_lanes!(cur.mask, lane => { x[lane] = x[lane].map(|v| -v); });
-                    }
-                    Slot::V4(x) => {
-                        for_lanes!(cur.mask, lane => { x[lane] = x[lane].map(|v| -v); });
-                    }
-                    slot => {
-                        for_lanes!(cur.mask, lane => {
-                            let v = slot.get(lane);
-                            slot.set(lane, ops::negate(v)?);
-                        });
-                    }
-                },
-                Insn::Not => match &mut self.stack[cur.sp - 1] {
-                    Slot::B(x) => {
-                        if solo {
-                            for v in x.iter_mut() {
-                                *v = !*v;
-                            }
-                        } else {
-                            for_lanes!(cur.mask, lane => { x[lane] = !x[lane]; });
-                        }
-                    }
-                    slot => {
-                        for_lanes!(cur.mask, lane => {
-                            let b = slot.get(lane).as_bool().ok_or_else(|| RuntimeError::Type {
-                                message: "`!` requires bool".into(),
-                            })?;
-                            slot.set(lane, Value::Bool(!b));
-                        });
-                    }
-                },
+                }
                 Insn::Binary(op) => {
-                    if !self.binary_fast(*op, cur.sp, cur.mask, solo) {
-                        self.binary_generic(*op, cur.sp, cur.mask)?;
+                    let wide = cur.sp - 2 >= stack_live;
+                    if !self.binary_fast(*op, cur.sp, cur.mask, wide) {
+                        self.binary_generic(*op, cur.sp, cur.mask, wide)?;
                     }
                     cur.sp -= 1;
                 }
@@ -1434,6 +1516,7 @@ impl<'a> SpmdVm<'a> {
                 Insn::Jump(t) => {
                     cur.pc = *t as usize;
                     reschedule(&mut cur, &mut pending);
+                    (stack_live, locals_live) = live_range(&pending);
                     continue;
                 }
                 Insn::JumpIfFalse(t) | Insn::JumpIfTrue(t) => {
@@ -1470,6 +1553,7 @@ impl<'a> SpmdVm<'a> {
                     } else if stay == 0 {
                         cur.pc = *t as usize;
                         reschedule(&mut cur, &mut pending);
+                        (stack_live, locals_live) = live_range(&pending);
                     } else {
                         // Divergence: defer the jumping subgroup, keep
                         // walking the fall-through side.
@@ -1482,63 +1566,72 @@ impl<'a> SpmdVm<'a> {
                             frame_end: cur.frame_end,
                             frames: cur.frames.clone(),
                         });
+                        stack_live = stack_live.max(cur.sp);
+                        locals_live = locals_live.max(cur.frame_end);
                         cur.mask = stay;
                         cur.pc += 1;
                     }
                     continue;
                 }
-                Insn::IncDec { inc } => match &mut self.stack[cur.sp - 1] {
-                    Slot::F(x) => {
-                        let model = self.model;
-                        let d = if *inc { 1.0f32 } else { -1.0 };
-                        if solo {
-                            for v in x.iter_mut() {
-                                *v = model.round_alu(*v + d);
+                Insn::IncDec { inc } => {
+                    let top = cur.sp - 1;
+                    let wide = top >= stack_live;
+                    match &mut self.stack[top] {
+                        Slot::F(x) => {
+                            let model = self.model;
+                            let d = if *inc { 1.0f32 } else { -1.0 };
+                            if wide {
+                                for v in x.iter_mut() {
+                                    *v = model.round_alu(*v + d);
+                                }
+                            } else {
+                                for_lanes!(cur.mask, lane => {
+                                    x[lane] = model.round_alu(x[lane] + d);
+                                });
                             }
-                        } else {
+                            for_lanes!(cur.mask, lane => { self.profiles[lane].alu_ops += 1; });
+                        }
+                        Slot::I(x) => {
+                            let d: i32 = if *inc { 1 } else { -1 };
+                            if wide {
+                                for v in x.iter_mut() {
+                                    *v = v.wrapping_add(d);
+                                }
+                            } else {
+                                for_lanes!(cur.mask, lane => { x[lane] = x[lane].wrapping_add(d); });
+                            }
+                            for_lanes!(cur.mask, lane => { self.profiles[lane].alu_ops += 1; });
+                        }
+                        slot => {
+                            let mut out = no_values();
                             for_lanes!(cur.mask, lane => {
-                                x[lane] = model.round_alu(x[lane] + d);
+                                let old = slot.get(lane);
+                                let one = match old.ty().scalar() {
+                                    Some(Scalar::Int) => Value::Int(1),
+                                    _ => Value::Float(1.0),
+                                };
+                                let op = if *inc { BinOp::Add } else { BinOp::Sub };
+                                out[lane] = ops::apply_binary(
+                                    self.model,
+                                    &mut self.profiles[lane],
+                                    op,
+                                    old,
+                                    one,
+                                )?;
                             });
+                            slot.put_values(&mut out, cur.mask, wide, &mut self.boxings);
                         }
-                        for_lanes!(cur.mask, lane => { self.profiles[lane].alu_ops += 1; });
                     }
-                    Slot::I(x) => {
-                        let d: i32 = if *inc { 1 } else { -1 };
-                        if solo {
-                            for v in x.iter_mut() {
-                                *v = v.wrapping_add(d);
-                            }
-                        } else {
-                            for_lanes!(cur.mask, lane => { x[lane] = x[lane].wrapping_add(d); });
-                        }
-                        for_lanes!(cur.mask, lane => { self.profiles[lane].alu_ops += 1; });
-                    }
-                    _ => {
-                        for_lanes!(cur.mask, lane => {
-                            let old = self.stack[cur.sp - 1].get(lane);
-                            let one = match old.ty().scalar() {
-                                Some(Scalar::Int) => Value::Int(1),
-                                _ => Value::Float(1.0),
-                            };
-                            let op = if *inc { BinOp::Add } else { BinOp::Sub };
-                            let new = ops::apply_binary(
-                                self.model,
-                                &mut self.profiles[lane],
-                                op,
-                                old,
-                                one,
-                            )?;
-                            self.stack[cur.sp - 1].set(lane, new);
-                        });
-                    }
-                },
+                }
                 Insn::Swizzle { idx, len } => {
                     let mut indices = [0usize; 4];
                     for (slot, &i) in indices.iter_mut().zip(idx.iter()) {
                         *slot = i as usize;
                     }
                     let sel = &indices[..*len as usize];
-                    let src_n = match &self.stack[cur.sp - 1] {
+                    let top = cur.sp - 1;
+                    let wide = top >= stack_live;
+                    let src_n = match &self.stack[top] {
                         Slot::V2(_) => 2,
                         Slot::V3(_) => 3,
                         Slot::V4(_) => 4,
@@ -1555,32 +1648,29 @@ impl<'a> SpmdVm<'a> {
                                 })
                             };
                         }
-                        match &self.stack[cur.sp - 1] {
+                        match &self.stack[top] {
                             Slot::V2(x) => gather!(x),
                             Slot::V3(x) => gather!(x),
                             Slot::V4(x) => gather!(x),
                             _ => unreachable!(),
                         }
                         if sel.len() == 1 {
-                            let r: [f32; MAX_LANES] = std::array::from_fn(|l| out[l][0]);
-                            if solo {
-                                self.stack[cur.sp - 1] = Slot::F(r);
-                            } else {
-                                for_lanes!(cur.mask, lane => {
-                                    self.stack[cur.sp - 1].set(lane, Value::Float(r[lane]));
-                                });
-                            }
+                            let r = Slot::F(std::array::from_fn(|l| out[l][0]));
+                            self.stack[top].put(r, cur.mask, wide, &mut self.boxings);
                         } else {
-                            self.write_vec_result(cur.sp - 1, sel.len(), &out, cur.mask, solo);
+                            self.write_vec_result(top, sel.len(), &out, cur.mask, wide);
                         }
                     } else {
+                        let slot = &mut self.stack[top];
+                        let mut out = no_values();
                         for_lanes!(cur.mask, lane => {
-                            let v = self.stack[cur.sp - 1].get(lane);
-                            self.stack[cur.sp - 1].set(lane, ops::swizzle_read(&v, sel)?);
+                            out[lane] = ops::swizzle_read(&slot.get(lane), sel)?;
                         });
+                        slot.put_values(&mut out, cur.mask, wide, &mut self.boxings);
                     }
                 }
                 Insn::IndexOp => {
+                    let mut out = no_values();
                     for_lanes!(cur.mask, lane => {
                         let idx = match self.stack[cur.sp - 1].get(lane) {
                             Value::Int(i) => i as i64,
@@ -1592,15 +1682,13 @@ impl<'a> SpmdVm<'a> {
                         };
                         // Avoid cloning boxed aggregates (arrays) just to
                         // read one element.
-                        let r = match &self.stack[cur.sp - 2] {
+                        out[lane] = match &self.stack[cur.sp - 2] {
                             Slot::Boxed(b) => ops::index_read(&b[lane], idx)?,
-                            slot => {
-                                let base = slot.get(lane);
-                                ops::index_read(&base, idx)?
-                            }
+                            slot => ops::index_read(&slot.get(lane), idx)?,
                         };
-                        self.stack[cur.sp - 2].set(lane, r);
                     });
+                    let wide = cur.sp - 2 >= stack_live;
+                    self.stack[cur.sp - 2].put_values(&mut out, cur.mask, wide, &mut self.boxings);
                     cur.sp -= 1;
                 }
                 Insn::Store(def) => {
@@ -1620,16 +1708,21 @@ impl<'a> SpmdVm<'a> {
                         match def.root {
                             SlotRef::Global(s) => {
                                 let (stack, globals) = (&self.stack, &mut self.globals);
-                                globals[s as usize].copy_masked_from(&stack[cur.sp], cur.mask);
+                                globals[s as usize].copy_masked_from(
+                                    &stack[cur.sp],
+                                    cur.mask,
+                                    &mut self.boxings,
+                                );
                             }
                             SlotRef::Local(s) => {
                                 let dst = fb + s as usize;
-                                if solo {
-                                    std::mem::swap(&mut self.locals[dst], &mut self.stack[cur.sp]);
-                                } else {
-                                    let (stack, locals) = (&self.stack, &mut self.locals);
-                                    locals[dst].copy_masked_from(&stack[cur.sp], cur.mask);
-                                }
+                                self.locals[dst].take_from(
+                                    &mut self.stack[cur.sp],
+                                    cur.mask,
+                                    dst >= locals_live,
+                                    cur.sp >= stack_live,
+                                    &mut self.boxings,
+                                );
                             }
                         }
                     } else {
@@ -1671,7 +1764,7 @@ impl<'a> SpmdVm<'a> {
                                 slot => {
                                     let mut root = slot.get(lane);
                                     store_path(&mut root, &def.path, &indices[..n], value)?;
-                                    slot.set(lane, root);
+                                    slot.set(lane, root, &mut self.boxings);
                                 }
                             }
                         });
@@ -1738,30 +1831,29 @@ impl<'a> SpmdVm<'a> {
                                 // Return value moves above the copied-out
                                 // params: ret to sp-1+n_outs first (its
                                 // destination is never an out slot), then
-                                // outs to sp-1.. in parameter order.
-                                if solo {
-                                    let ret = std::mem::replace(
-                                        &mut self.stack[cur.sp - 1],
-                                        Slot::B([false; MAX_LANES]),
-                                    );
-                                    self.stack[cur.sp - 1 + n_outs] = ret;
-                                } else {
-                                    let (lo, hi) = self.stack.split_at_mut(cur.sp);
-                                    hi[n_outs - 1].copy_masked_from(&lo[cur.sp - 1], cur.mask);
-                                }
-                                let mut k = cur.sp - 1;
+                                // outs to sp-1.. in parameter order. The
+                                // callee frame is dead for `cur` once it
+                                // returns.
+                                let ret = cur.sp - 1;
+                                let (lo, hi) = self.stack.split_at_mut(cur.sp);
+                                hi[n_outs - 1].take_from(
+                                    &mut lo[ret],
+                                    cur.mask,
+                                    ret + n_outs >= stack_live,
+                                    ret >= stack_live,
+                                    &mut self.boxings,
+                                );
+                                let mut k = ret;
                                 for (i, (_, qual)) in func.params.iter().enumerate() {
                                     if matches!(qual, ParamQual::Out | ParamQual::InOut) {
                                         let src = frame.callee_base + i;
-                                        if solo {
-                                            std::mem::swap(
-                                                &mut self.stack[k],
-                                                &mut self.locals[src],
-                                            );
-                                        } else {
-                                            let (stack, locals) = (&mut self.stack, &self.locals);
-                                            stack[k].copy_masked_from(&locals[src], cur.mask);
-                                        }
+                                        self.stack[k].take_from(
+                                            &mut self.locals[src],
+                                            cur.mask,
+                                            k >= stack_live,
+                                            src >= locals_live,
+                                            &mut self.boxings,
+                                        );
                                         k += 1;
                                     }
                                 }
@@ -1773,6 +1865,7 @@ impl<'a> SpmdVm<'a> {
                         cur.frame_base = frame.frame_base;
                         cur.frame_end = frame.frame_end;
                         reschedule(&mut cur, &mut pending);
+                        (stack_live, locals_live) = live_range(&pending);
                         continue;
                     }
                 },
@@ -1795,13 +1888,15 @@ impl<'a> SpmdVm<'a> {
                     let argc = *argc as usize;
                     let args_start = cur.sp - argc;
                     let name_s = &exe.names[*name as usize];
+                    // Every builtin result lands in `args_start`.
+                    let wide = args_start >= stack_live;
 
                     // SoA fast paths for the hot builtins (argument slot
                     // variants are shared by all lanes, so one dispatch
                     // covers the batch). Skipped when the lowerer
                     // expects out-param copy-back so the drift error
                     // below still fires.
-                    if !*pushes_outs && self.fast_builtin(name_s, args_start, argc, cur.mask, solo)
+                    if !*pushes_outs && self.fast_builtin(name_s, args_start, argc, cur.mask, wide)
                     {
                         cur.sp = args_start + 1;
                         cur.pc += 1;
@@ -1814,6 +1909,7 @@ impl<'a> SpmdVm<'a> {
                     // is decided by name and argument types, which are
                     // uniform across lanes.
                     let mut is_builtin = false;
+                    let mut out = no_values();
                     for_lanes!(cur.mask, lane => {
                         self.arg_buf.clear();
                         for k in 0..argc {
@@ -1838,8 +1934,7 @@ impl<'a> SpmdVm<'a> {
                                         ),
                                     });
                                 }
-                                let v = r?;
-                                self.stack[args_start].set(lane, v);
+                                out[lane] = r?;
                                 is_builtin = true;
                             }
                             None => {
@@ -1849,6 +1944,12 @@ impl<'a> SpmdVm<'a> {
                         }
                     });
                     if is_builtin {
+                        self.stack[args_start].put_values(
+                            &mut out,
+                            cur.mask,
+                            wide,
+                            &mut self.boxings,
+                        );
                         cur.sp = args_start + 1;
                         cur.pc += 1;
                         continue;
@@ -1891,28 +1992,21 @@ impl<'a> SpmdVm<'a> {
                         self.profiles[lane].calls += 1;
                     });
                     for (i, (ty, qual)) in func.params.iter().enumerate() {
+                        // The argument slots are dead for `cur` once the
+                        // callee starts (its stack begins at `args_start`).
+                        let (src, dst) = (args_start + i, callee_base + i);
+                        let wide = dst >= locals_live;
                         match qual {
-                            ParamQual::In | ParamQual::InOut => {
-                                let dst = callee_base + i;
-                                if solo {
-                                    std::mem::swap(
-                                        &mut self.locals[dst],
-                                        &mut self.stack[args_start + i],
-                                    );
-                                } else {
-                                    let (stack, locals) = (&self.stack, &mut self.locals);
-                                    locals[dst].copy_masked_from(&stack[args_start + i], cur.mask);
-                                }
-                            }
+                            ParamQual::In | ParamQual::InOut => self.locals[dst].take_from(
+                                &mut self.stack[src],
+                                cur.mask,
+                                wide,
+                                src >= stack_live,
+                                &mut self.boxings,
+                            ),
                             ParamQual::Out => {
-                                let z = Value::zero_of(ty);
-                                if solo {
-                                    self.locals[callee_base + i] = Slot::splat(&z);
-                                } else {
-                                    for_lanes!(cur.mask, lane => {
-                                        self.locals[callee_base + i].set(lane, z.clone());
-                                    });
-                                }
+                                let z = Slot::splat(&Value::zero_of(ty));
+                                self.locals[dst].put(z, cur.mask, wide, &mut self.boxings);
                             }
                         }
                     }
@@ -2090,6 +2184,79 @@ mod tests {
             ),
             &[0.0, 1.0, 4.0, -2.0, 0.5, 8.0, 2.0, -0.25],
         );
+    }
+
+    /// The watermarks must come from the *pending* contexts, not the
+    /// current one. Each line of `main` makes the current context write
+    /// at or above its own `sp` / `frame_end` but below a value a
+    /// deferred context still holds: `g`'s early return leaves the other
+    /// lanes suspended inside `g` while `h` binds its parameter into the
+    /// same frame slots, and the `?:` lanes that jumped to `else` push
+    /// their result into the slot holding the `then` lanes' result.
+    /// Writing either wholesale would clobber the deferred lanes.
+    #[test]
+    fn writes_below_deferred_values_stay_masked() {
+        assert_lanes_match(
+            &format!(
+                "{P}uniform float u_in;\n\
+                 float g(float v) {{
+                    if (v > 2.0) {{ return v * 0.5; }}
+                    float t = v + 1.0;
+                    return t * t;
+                 }}
+                 float h(float w) {{ float z = w * 3.0; return z; }}
+                 void main() {{
+                    float a = g(u_in);
+                    float b = h(u_in + 10.0);
+                    float c = u_in > 4.0 ? u_in * 2.0 : u_in + 0.5;
+                    gl_FragColor = vec4(a, b, c, 1.0);
+                 }}"
+            ),
+            &[0.5, 3.0, 1.0, 6.0, 2.0, 5.0, 4.0, 0.0],
+        );
+    }
+
+    /// Runs one batch of `src` over `inputs` and returns the boxings it
+    /// reported.
+    fn boxings_of(src: &str, inputs: &[f32]) -> u64 {
+        let exe = lower_src(src);
+        let tex = NoTextures;
+        let mut spmd = SpmdVm::with_model(&exe, &tex, FloatModel::Exact, inputs.len()).unwrap();
+        let slot = exe.global_slot("u_in").expect("u_in slot");
+        for (lane, &x) in inputs.iter().enumerate() {
+            spmd.set_lane_slot(lane, slot, Value::Float(x));
+        }
+        spmd.take_boxings();
+        spmd.run_batch(inputs.len()).expect("batch");
+        spmd.take_boxings()
+    }
+
+    #[test]
+    fn only_genuinely_mixed_slots_box() {
+        let inputs = [0.5, 3.0, 1.0, 6.0, 2.0, 5.0, 4.0, 0.0];
+        // Divergent branches whose temporaries change type above the
+        // deferred lanes' live range stay typed.
+        let nested = format!(
+            "{P}uniform float u_in;\n\
+             void main() {{
+                float c = u_in > 2.0 ? (u_in < 5.0 ? 1.0 : 2.0) : 2.0 + float(u_in > 0.7);
+                if (u_in > 3.0) {{ c += length(vec2(u_in, c)); }}
+                gl_FragColor = vec4(c);
+             }}"
+        );
+        assert_lanes_match(&nested, &inputs);
+        assert_eq!(boxings_of(&nested, &inputs), 0);
+        // The `else` lanes compute a bool in the slot where the deferred
+        // `then` lanes hold their float result: a genuinely mixed slot.
+        let mixed = format!(
+            "{P}uniform float u_in;\n\
+             void main() {{
+                float c = u_in > 4.0 ? u_in : (u_in < 1.0 ? -u_in : 0.5);
+                gl_FragColor = vec4(c);
+             }}"
+        );
+        assert_lanes_match(&mixed, &inputs);
+        assert!(boxings_of(&mixed, &inputs) > 0);
     }
 
     #[test]

@@ -8,6 +8,14 @@
 //! at every batch width from one lane up to full occupancy (the
 //! partial-band tails the rasteriser produces at band edges).
 //!
+//! A second generator targets the SPMD VM's write rule: below the
+//! values deferred contexts still hold, writes are masked, above them
+//! wholesale. Its `?:` and `if` arms push `float`, `vec2` and `bool`
+//! temporaries inside larger expressions (so a slot's type changes
+//! under divergence), call user functions with `in`/`out`/`inout`
+//! parameters from divergent arms, and nest splits under values an
+//! outer deferred context still holds.
+//!
 //! Oracles are the scalar bytecode VM *and* the tree-walking
 //! interpreter, each run invocation-by-invocation in lane order.
 //! Everything must be bit-identical: colour bits, discard and output
@@ -192,6 +200,198 @@ impl Gen {
         src.push_str("    gl_FragColor = vec4(acc, u_b - acc, fract(acc), 1.0);\n}\n");
         src
     }
+
+    // ---- type-changing divergence --------------------------------------
+
+    /// A `float` expression; `?:` arms and operands mix in `bool` and
+    /// `vec2` temporaries and calls with `out`/`inout` parameters.
+    fn fexpr(&mut self, depth: u32) -> String {
+        if depth == 0 {
+            return self.scalar();
+        }
+        let d = depth - 1;
+        match self.rng.below(10) {
+            0 => self.scalar(),
+            1 => format!(
+                "({} ? {} : {})",
+                self.bexpr(d),
+                self.fexpr(d),
+                self.fexpr(d)
+            ),
+            2 => format!("({} + {})", self.fexpr(d), self.fexpr(d)),
+            3 => format!("({} * float({}))", self.fexpr(d), self.bexpr(d)),
+            4 => format!("dot({}, {})", self.vexpr(d), self.vexpr(d)),
+            5 => format!("length({})", self.vexpr(d)),
+            6 => {
+                let c = ["x", "y"][self.rng.below(2) as usize];
+                format!("({}).{c}", self.vexpr(d))
+            }
+            7 => format!("twist({}, w, big)", self.fexpr(d)),
+            8 => format!("clip({}, w)", self.fexpr(d)),
+            _ => format!("({} - {})", self.scalar(), self.fexpr(d)),
+        }
+    }
+
+    /// A `vec2` expression.
+    fn vexpr(&mut self, depth: u32) -> String {
+        let leaf = |g: &mut Gen| match g.rng.below(4) {
+            0 => "u_v.xy".to_string(),
+            1 => "u_v.zw".to_string(),
+            2 => "w".to_string(),
+            _ => format!("vec2({})", g.scalar()),
+        };
+        if depth == 0 {
+            return leaf(self);
+        }
+        let d = depth - 1;
+        match self.rng.below(6) {
+            0 => leaf(self),
+            1 => format!(
+                "({} ? {} : {})",
+                self.bexpr(d),
+                self.vexpr(d),
+                self.vexpr(d)
+            ),
+            2 => format!("vec2({}, {})", self.fexpr(d), self.fexpr(d)),
+            3 => format!("({} * {})", self.vexpr(d), self.fexpr(d)),
+            4 => format!("({} + {})", self.vexpr(d), self.vexpr(d)),
+            _ => format!("({}).yx", self.vexpr(d)),
+        }
+    }
+
+    /// A `bool` expression.
+    fn bexpr(&mut self, depth: u32) -> String {
+        if depth == 0 {
+            return match self.rng.below(4) {
+                0 => "big".into(),
+                _ => self.cmp(),
+            };
+        }
+        let d = depth - 1;
+        match self.rng.below(7) {
+            0 => self.cmp(),
+            1 => format!(
+                "({} ? {} : {})",
+                self.bexpr(d),
+                self.bexpr(d),
+                self.bexpr(d)
+            ),
+            2 => format!("({} < {})", self.fexpr(d), self.fexpr(d)),
+            3 => format!("!({})", self.bexpr(d)),
+            4 => format!("gate({}, {})", self.vexpr(d), self.fexpr(d)),
+            5 => format!("(({}) && ({}))", self.bexpr(d), self.bexpr(d)),
+            _ => format!("(({}) == ({}))", self.bexpr(d), self.bexpr(d)),
+        }
+    }
+
+    fn typed_stmt(&mut self, out: &mut String, indent: usize, depth: u32) {
+        let pad = "    ".repeat(indent);
+        match self.rng.below(if depth < 2 { 9 } else { 5 }) {
+            0 => {
+                let e = self.fexpr(3);
+                out.push_str(&format!("{pad}acc += {e};\n"));
+            }
+            1 => {
+                let e = self.vexpr(2);
+                out.push_str(&format!("{pad}w = {e};\n"));
+            }
+            2 => {
+                let e = self.bexpr(2);
+                out.push_str(&format!("{pad}big = {e};\n"));
+            }
+            3 => {
+                // A call with `out`/`inout` parameters from one arm of a
+                // divergent `?:`.
+                let c = self.bexpr(1);
+                let x = self.fexpr(1);
+                out.push_str(&format!(
+                    "{pad}acc = ({c}) ? twist({x}, w, big) : acc * 0.5;\n"
+                ));
+            }
+            4 => {
+                // Locals of different types in sibling arms.
+                let c = self.bexpr(1);
+                let v = self.vexpr(2);
+                let b = self.bexpr(2);
+                out.push_str(&format!(
+                    "{pad}if ({c}) {{ vec2 q = {v}; acc += q.y; }} \
+                     else {{ bool t = {b}; acc += t ? 1.0 : -1.0; }}\n"
+                ));
+            }
+            5 => {
+                // Nested split under a value the outer deferred lanes
+                // still hold (`keep` and the outer arm's result).
+                self.next_id += 1;
+                let k = format!("keep{}", self.next_id);
+                let c = self.bexpr(1);
+                let init = self.fexpr(2);
+                out.push_str(&format!("{pad}if ({c}) {{\n{pad}    float {k} = {init};\n"));
+                self.typed_stmt(out, indent + 1, depth + 1);
+                self.typed_stmt(out, indent + 1, depth + 1);
+                out.push_str(&format!("{pad}    acc += {k};\n{pad}}} else {{\n"));
+                self.typed_stmt(out, indent + 1, depth + 1);
+                out.push_str(&format!("{pad}}}\n"));
+            }
+            6 => {
+                let c = self.bexpr(1);
+                let x = self.fexpr(2);
+                out.push_str(&format!(
+                    "{pad}if ({c}) {{ split({x}, hi, parts); acc += hi - parts.y; }}\n"
+                ));
+            }
+            7 => {
+                // `clip`'s early return leaves some lanes suspended in
+                // its frame while the others already bind `twist`'s
+                // parameters into the same locals slots.
+                let x = self.fexpr(1);
+                let y = self.fexpr(1);
+                out.push_str(&format!("{pad}acc += clip({x}, w) * twist({y}, w, big);\n"));
+            }
+            _ => {
+                let c = self.cond();
+                out.push_str(&format!("{pad}if ({c}) {{ discard; }}\n"));
+            }
+        }
+    }
+
+    fn typed_program(&mut self) -> String {
+        let mut src = String::from(
+            "precision highp float;\n\
+             uniform float u_a;\nuniform float u_b;\nuniform vec4 u_v;\nuniform int u_i;\n\
+             float twist(float x, inout vec2 w, out bool big) {\n\
+             \x20   big = x > 1.5;\n\
+             \x20   w = big ? w.yx * 0.5 : w + vec2(x, -x);\n\
+             \x20   return big ? length(w) : float(x < 0.0) - x;\n\
+             }\n\
+             void split(float x, out float hi, out vec2 parts) {\n\
+             \x20   hi = floor(x);\n\
+             \x20   parts = x > 0.0 ? vec2(fract(x), hi) : vec2(hi, x < -2.0);\n\
+             }\n\
+             float clip(float x, inout vec2 w) {\n\
+             \x20   if (x > w.x) { return x - w.x; }\n\
+             \x20   w = w * 0.5 + vec2(x);\n\
+             \x20   float r = x * w.y;\n\
+             \x20   return r;\n\
+             }\n\
+             bool gate(vec2 w, float t) {\n\
+             \x20   return w.x > t ? w.y < t : t > 0.0;\n\
+             }\n\
+             void main() {\n\
+             \x20   float acc = u_a;\n\
+             \x20   vec2 w = u_v.zw;\n\
+             \x20   bool big = u_b > 0.0;\n\
+             \x20   float hi = 0.0;\n\
+             \x20   vec2 parts = vec2(0.0);\n",
+        );
+        let n = 3 + self.rng.below(4);
+        for _ in 0..n {
+            self.typed_stmt(&mut src, 1, 0);
+        }
+        src.push_str(
+            "    gl_FragColor = vec4(acc, w.x + hi, w.y + parts.x, big ? 1.0 : parts.y);\n}\n",
+        );
+        src
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -211,9 +411,8 @@ fn uniforms(seed: u64) -> Vec<(&'static str, Value)> {
     ]
 }
 
-fn check_divergent(seed: u64) {
-    let src = Gen::new(seed).program();
-    let shader = match compile(ShaderKind::Fragment, &src) {
+fn check_divergent(seed: u64, src: &str) {
+    let shader = match compile(ShaderKind::Fragment, src) {
         Ok(s) => s,
         Err(e) => panic!("generated program failed to compile: {e}\n{src}"),
     };
@@ -336,7 +535,15 @@ proptest! {
     /// SPMD VM, scalar VM, and tree-walker at every batch width.
     #[test]
     fn spmd_matches_oracles_on_divergent_programs(seed in 0u64..1_000_000) {
-        check_divergent(seed);
+        check_divergent(seed, &Gen::new(seed).program());
+    }
+
+    /// Divergent arms that change slot types, call with `out`/`inout`
+    /// parameters and nest under deferred live values stay bit-identical
+    /// across the SPMD VM, scalar VM and tree-walker.
+    #[test]
+    fn spmd_matches_oracles_on_type_changing_divergence(seed in 0u64..1_000_000) {
+        check_divergent(seed, &Gen::new(seed).typed_program());
     }
 }
 
@@ -344,6 +551,7 @@ proptest! {
 #[test]
 fn spmd_matches_oracles_on_fixed_seeds() {
     for seed in [0, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 4242, 777_777] {
-        check_divergent(seed);
+        check_divergent(seed, &Gen::new(seed).program());
+        check_divergent(seed, &Gen::new(seed).typed_program());
     }
 }

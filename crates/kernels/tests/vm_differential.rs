@@ -306,3 +306,44 @@ fn solver_and_ml_kernels_match() {
         Ok(f32s_bytes(&cc.run_f32(&k)?))
     });
 }
+
+/// The paper's §V pair at full size must shade without boxing a single
+/// SPMD slot: the f32 codec's data-dependent `?:`/`if`s write above the
+/// deferred contexts' live range, so those writes are wholesale and keep
+/// every slot typed. A regression back to masked writes there would box
+/// tens of thousands of slots per draw and send the codec down the
+/// generic per-lane paths, with identical outputs — only this counter
+/// notices.
+#[test]
+fn f32_sum_and_sgemm_box_no_spmd_slots() {
+    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let mut cc = ComputeContext::new(256, 256).expect("context");
+    cc.set_exec_mode(ExecMode::Spmd { lanes: 8 });
+
+    let a = data::random_f32(1 << 16, 41, 1000.0);
+    let b = data::random_f32(1 << 16, 42, 1000.0);
+    let ga = cc.upload(&a).expect("upload");
+    let gb = cc.upload(&b).expect("upload");
+    let k = sum::build_f32(&mut cc, &ga, &gb).expect("sum");
+    let out = cc.run_f32(&k).expect("sum runs");
+    assert_eq!(bits(&out), bits(&sum::cpu_reference(&a, &b)));
+    let stats = cc.stats();
+    assert!(stats.spmd_batches > 0, "sum did not run on the lane VM");
+    assert_eq!(stats.spmd_boxed_slots, 0, "f32 sum boxed SPMD slots");
+
+    let n = 64usize;
+    let m: Vec<Vec<f32>> = (43..46)
+        .map(|seed| data::random_f32(n * n, seed, 1.0))
+        .collect();
+    let side = n as u32;
+    let ma = cc.upload_matrix(side, side, &m[0]).expect("matrix");
+    let mb = cc.upload_matrix(side, side, &m[1]).expect("matrix");
+    let mc = cc.upload_matrix(side, side, &m[2]).expect("matrix");
+    let k = sgemm::build_f32(&mut cc, &ma, &mb, &mc, 1.5, 0.5).expect("sgemm");
+    let out = cc.run_f32(&k).expect("sgemm runs");
+    let reference = sgemm::cpu_reference_f32(n, n, n, &m[0], &m[1], &m[2], 1.5, 0.5);
+    assert_eq!(bits(&out), bits(&reference));
+    let stats = cc.stats();
+    assert!(stats.spmd_batches > 0, "sgemm did not run on the lane VM");
+    assert_eq!(stats.spmd_boxed_slots, 0, "f32 sgemm boxed SPMD slots");
+}
