@@ -1526,6 +1526,280 @@ mod tests {
         assert_eq!(serial, parallel);
     }
 
+    /// Banding cases: `a_pos` carries clip xyz and `a_tag` a per-vertex
+    /// tag the fragment shader reads.
+    const VS_TAGGED: &str = "attribute vec3 a_pos;\nattribute float a_tag;\n\
+        varying float v_tag;\n\
+        void main() { v_tag = a_tag; gl_Position = vec4(a_pos, 1.0); }";
+
+    /// Reads every per-fragment input a band must reproduce (an
+    /// interpolated varying, `gl_FragCoord`, `gl_FrontFacing`) and
+    /// discards a diagonal lattice.
+    const FS_TAGGED: &str = "precision highp float;\nvarying float v_tag;\n\
+        void main() {\n\
+          if (mod(gl_FragCoord.x + gl_FragCoord.y, 5.0) < 1.0) discard;\n\
+          float facing = gl_FrontFacing ? 1.0 : 0.25;\n\
+          gl_FragColor = vec4(v_tag, facing, fract(gl_FragCoord.x * 0.11 + gl_FragCoord.y * 0.07), 1.0);\n\
+        }";
+
+    /// Indexes a 3-element array with `int(v_tag)` in rows above y = 8,
+    /// and everywhere once the tag exceeds 6: tags 5.5 and 7.5 trap with
+    /// distinguishable `IndexOutOfBounds` errors.
+    const FS_TRAP: &str = "precision highp float;\nvarying float v_tag;\n\
+        void main() {\n\
+          float a[3];\n\
+          a[0] = 0.0; a[1] = 0.5; a[2] = 1.0;\n\
+          int i = (gl_FragCoord.y > 8.0 || v_tag > 6.0) ? int(v_tag) : 0;\n\
+          gl_FragColor = vec4(a[i], 0.0, 0.0, 1.0);\n\
+        }";
+
+    /// One draw for the serial-vs-banded identity checks.
+    struct BandCase {
+        size: (u32, u32),
+        mode: PrimitiveMode,
+        /// `(x, y, z, tag)` per vertex.
+        verts: Vec<[f32; 4]>,
+        fs: &'static str,
+        depth_test: bool,
+        viewport: Option<(i32, i32, i32, i32)>,
+        scissor: Option<(i32, i32, i32, i32)>,
+    }
+
+    impl BandCase {
+        fn new(mode: PrimitiveMode, verts: Vec<[f32; 4]>) -> BandCase {
+            BandCase {
+                size: (16, 16),
+                mode,
+                verts,
+                fs: FS_TAGGED,
+                depth_test: false,
+                viewport: None,
+                scissor: None,
+            }
+        }
+
+        fn draw(
+            &self,
+            dispatch: Dispatch,
+            exec: ExecMode,
+        ) -> (Result<DrawStats, GlError>, Vec<u8>) {
+            let (w, h) = self.size;
+            let mut gl = Context::new(w, h).expect("context");
+            gl.set_dispatch(dispatch);
+            gl.set_exec_mode(exec);
+            gl.set_depth_test(self.depth_test);
+            if let Some((x, y, vw, vh)) = self.viewport {
+                gl.viewport(x, y, vw, vh);
+            }
+            gl.set_scissor(self.scissor);
+            let prog = gl.create_program(VS_TAGGED, self.fs).expect("program");
+            gl.use_program(prog).expect("use");
+            let pos: Vec<f32> = self.verts.iter().flat_map(|v| [v[0], v[1], v[2]]).collect();
+            let tags: Vec<f32> = self.verts.iter().map(|v| v[3]).collect();
+            gl.set_attribute("a_pos", 3, &pos).expect("a_pos");
+            gl.set_attribute("a_tag", 1, &tags).expect("a_tag");
+            let result = gl.draw_arrays(self.mode, 0, self.verts.len());
+            (result, gl.read_pixels(0, 0, w, h).expect("read"))
+        }
+
+        /// Draws under `Serial` and `Parallel(2 | 3 | 7)` with every
+        /// executor: pixels and fragment-stage stats must match, or the
+        /// draws must fail with the same error. Returns the serial SPMD
+        /// draw for case-specific checks.
+        fn assert_bands_match_serial(&self) -> (Result<DrawStats, GlError>, Vec<u8>) {
+            let execs = [
+                ExecMode::Spmd { lanes: 8 },
+                ExecMode::Scalar,
+                ExecMode::TreeWalker,
+            ];
+            for exec in execs {
+                let (serial, serial_px) = self.draw(Dispatch::Serial, exec);
+                for threads in [2, 3, 7] {
+                    let (banded, px) = self.draw(Dispatch::Parallel(threads), exec);
+                    let ctx = format!("{exec:?}, Parallel({threads})");
+                    match (&serial, &banded) {
+                        (Ok(s), Ok(b)) => {
+                            assert_eq!(px, serial_px, "pixels: {ctx}");
+                            assert_eq!(b.fragments_shaded, s.fragments_shaded, "{ctx}");
+                            assert_eq!(b.fragments_discarded, s.fragments_discarded, "{ctx}");
+                            assert_eq!(b.pixels_written, s.pixels_written, "{ctx}");
+                            assert_eq!(b.fs_profile, s.fs_profile, "{ctx}");
+                        }
+                        (Err(s), Err(b)) => assert_eq!(b, s, "error: {ctx}"),
+                        _ => panic!("{ctx}: serial {serial:?} vs banded {banded:?}"),
+                    }
+                }
+            }
+            self.draw(Dispatch::Serial, execs[0])
+        }
+    }
+
+    /// Pixel `(x, y)`'s RGBA bytes in a `width`-wide readback.
+    fn pixel_at(px: &[u8], width: u32, x: u32, y: u32) -> &[u8] {
+        let i = 4 * (y * width + x) as usize;
+        &px[i..i + 4]
+    }
+
+    /// Two triangles covering clip space with the given z and tag.
+    fn tagged_quad(z: f32, tag: f32) -> Vec<[f32; 4]> {
+        QUAD.chunks(2).map(|p| [p[0], p[1], z, tag]).collect()
+    }
+
+    #[test]
+    fn banded_depth_tested_overlap_matches_serial() {
+        let mut case = BandCase::new(
+            PrimitiveMode::Triangles,
+            vec![
+                // Lower-left half, far.
+                [-1.0, -1.0, 0.5, 0.25],
+                [1.0, -1.0, 0.5, 0.25],
+                [-1.0, 1.0, 0.5, 0.25],
+                // Lower-right half, nearer and later: wins the overlap.
+                [-1.0, -1.0, 0.0, 0.5],
+                [1.0, -1.0, 0.0, 0.5],
+                [1.0, 1.0, 0.0, 0.5],
+                // Whole target, farthest: loses wherever a pixel was written.
+                [-1.0, -1.0, 0.8, 0.75],
+                [3.0, -1.0, 0.8, 0.75],
+                [-1.0, 3.0, 0.8, 0.75],
+            ],
+        );
+        case.depth_test = true;
+        let (stats, px) = case.assert_bands_match_serial();
+        assert_eq!(stats.expect("draw").triangles_rasterized, 3);
+        // (8, 2) lies in both halves and off the discard lattice.
+        assert!(pixel_at(&px, 16, 8, 2)[0].abs_diff(128) <= 1);
+        // (2, 14) lies in neither half: only the far triangle covers it.
+        assert!(pixel_at(&px, 16, 2, 14)[0].abs_diff(191) <= 1);
+    }
+
+    #[test]
+    fn banded_mixed_winding_matches_serial() {
+        let case = BandCase::new(
+            PrimitiveMode::Triangles,
+            vec![
+                // Counter-clockwise lower-right half.
+                [-1.0, -1.0, 0.0, 0.5],
+                [1.0, -1.0, 0.0, 0.5],
+                [1.0, 1.0, 0.0, 0.5],
+                // Clockwise upper-left half.
+                [-1.0, -1.0, 0.0, 0.5],
+                [-1.0, 1.0, 0.0, 0.5],
+                [1.0, 1.0, 0.0, 0.5],
+            ],
+        );
+        let (_, px) = case.assert_bands_match_serial();
+        assert_eq!(pixel_at(&px, 16, 12, 3)[1], 255, "front-facing");
+        assert!(pixel_at(&px, 16, 3, 12)[1].abs_diff(64) <= 1, "back-facing");
+    }
+
+    #[test]
+    fn banded_viewport_and_scissor_offsets_match_serial() {
+        let mut case = BandCase::new(PrimitiveMode::Triangles, tagged_quad(0.0, 0.5));
+        case.viewport = Some((3, 2, 10, 11));
+        case.scissor = Some((4, 5, 7, 6));
+        let (stats, px) = case.assert_bands_match_serial();
+        let stats = stats.expect("draw");
+        assert_eq!(stats.fragments_shaded, 7 * 6);
+        assert_eq!(
+            pixel_at(&px, 16, 3, 5),
+            &[0, 0, 0, 0],
+            "outside the scissor"
+        );
+    }
+
+    #[test]
+    fn banded_disjoint_row_spans_match_serial() {
+        // A band between the two row spans has no rows to shade.
+        let case = BandCase::new(
+            PrimitiveMode::Triangles,
+            vec![
+                [-1.0, -1.0, 0.0, 0.25],
+                [1.0, -1.0, 0.0, 0.25],
+                [0.0, -0.5, 0.0, 0.25],
+                [-1.0, 0.5, 0.0, 0.75],
+                [1.0, 0.5, 0.0, 0.75],
+                [0.0, 1.0, 0.0, 0.75],
+            ],
+        );
+        let (stats, _) = case.assert_bands_match_serial();
+        assert!(stats.expect("draw").fragments_shaded > 0);
+    }
+
+    #[test]
+    fn banded_draw_with_fewer_rows_than_threads_matches_serial() {
+        let mut case = BandCase::new(PrimitiveMode::Triangles, tagged_quad(0.0, 0.5));
+        case.size = (16, 2);
+        let (stats, _) = case.assert_bands_match_serial();
+        assert_eq!(stats.expect("draw").fragments_shaded, 32);
+    }
+
+    #[test]
+    fn banded_strip_and_fan_match_serial() {
+        let strip = [
+            [-1.0, -1.0],
+            [-1.0, 1.0],
+            [0.0, -1.0],
+            [0.2, 1.0],
+            [1.0, -0.6],
+            [1.0, 1.0],
+        ];
+        let fan = [
+            [0.1, -0.1],
+            [1.0, -0.2],
+            [0.6, 1.0],
+            [-0.5, 0.9],
+            [-1.0, -0.3],
+            [-0.2, -1.0],
+            [1.0, -0.2],
+        ];
+        for (mode, points) in [
+            (PrimitiveMode::TriangleStrip, &strip[..]),
+            (PrimitiveMode::TriangleFan, &fan[..]),
+        ] {
+            let verts = points
+                .iter()
+                .enumerate()
+                .map(|(i, p)| [p[0], p[1], 0.0, i as f32 / 8.0])
+                .collect();
+            let (stats, _) = BandCase::new(mode, verts).assert_bands_match_serial();
+            let triangles = points.len() as u32 - 2;
+            assert_eq!(
+                stats.expect("draw").triangles_rasterized,
+                triangles,
+                "{mode:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn banded_shader_trap_matches_serial() {
+        let trap = |first_tag: f32| {
+            let mut verts = QUAD
+                .chunks(2)
+                .map(|p| [p[0], p[1], 0.0, 7.5])
+                .collect::<Vec<_>>();
+            for v in &mut verts[..3] {
+                v[3] = first_tag;
+            }
+            let mut case = BandCase::new(PrimitiveMode::Triangles, verts);
+            case.fs = FS_TRAP;
+            case.assert_bands_match_serial().0.expect_err("draw traps")
+        };
+        // Only the second triangle traps.
+        assert_eq!(
+            trap(0.5),
+            GlError::ShaderTrap(gpes_glsl::RuntimeError::IndexOutOfBounds { index: 7, len: 3 })
+        );
+        // The first triangle traps only in the upper rows, which a later
+        // band shades, while the lowest band meets the second triangle's
+        // trap: the serial walk's error (the first triangle's) still wins.
+        assert_eq!(
+            trap(5.5),
+            GlError::ShaderTrap(gpes_glsl::RuntimeError::IndexOutOfBounds { index: 5, len: 3 })
+        );
+    }
+
     #[test]
     fn triangle_strip_quad_also_covers_once() {
         let mut gl = Context::new(8, 8).expect("context");

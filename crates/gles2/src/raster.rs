@@ -15,6 +15,10 @@
 //!   shaded exactly once.
 //! * There is no near-plane clipping: triangles with any `w ≤ 0` vertex are
 //!   dropped. GPGPU geometry is always drawn with `w = 1`.
+//! * Fragment dispatch bands the whole draw ([`Dispatch`]): the rows its
+//!   triangles cover are split into one equal band per thread, and each
+//!   band runs every triangle over its own rows in draw order. Output is
+//!   bit-identical to a serial walk at any band count.
 
 use crate::convert::{float_to_texel, StoreRounding};
 use crate::error::GlError;
@@ -130,7 +134,8 @@ pub enum PrimitiveMode {
 pub enum Dispatch {
     /// Single-threaded (deterministic op ordering, easiest to debug).
     Serial,
-    /// Fixed number of worker threads.
+    /// Fixed number of row bands per draw: the calling thread shades the
+    /// first and `n - 1` scoped threads the rest.
     Parallel(usize),
     /// One thread per available core (results identical to serial; the
     /// QPU-like data parallelism of fragment shading is order-independent).
@@ -530,15 +535,21 @@ pub(crate) fn draw(
     let tris = assemble(mode, count);
     stats.triangles_in = tris.len() as u32;
 
+    // ---- triangle setup ----------------------------------------------------
+    let clip = clip_rect(config, target.width, target.height);
+    let setups: Vec<TriangleSetup> = tris
+        .iter()
+        .filter_map(|t| {
+            let verts = [&shaded[t[0]], &shaded[t[1]], &shaded[t[2]]];
+            setup_triangle(verts, config.viewport, clip)
+        })
+        .collect();
+    stats.triangles_rasterized = setups.len() as u32;
+
     // ---- rasterisation + fragment stage -----------------------------------
-    for tri in tris {
-        let rasterized = raster_triangle(
-            program, &shaded, tri, &layout, bindings, target, config, &mut stats,
-        )?;
-        if rasterized {
-            stats.triangles_rasterized += 1;
-        }
-    }
+    raster_triangles(
+        program, &setups, &layout, bindings, target, config, &mut stats,
+    )?;
     Ok(stats)
 }
 
@@ -623,45 +634,80 @@ fn accepts_zero_edge(ax: f64, ay: f64, bx: f64, by: f64) -> bool {
     dy > 0.0 || (dy == 0.0 && dx < 0.0)
 }
 
+/// Screen-space setup of one triangle, computed once per draw and shared
+/// read-only by every band.
 struct TriangleSetup {
+    /// Vertex positions, reordered counter-clockwise.
     sx: [f64; 3],
     sy: [f64; 3],
+    /// Twice the signed area (positive after the reorder).
+    area: f64,
+    /// Whether each edge (AB, BC, CA) owns pixel centres lying on it.
+    top_left: [bool; 3],
     inv_w: [f32; 3],
     z_ndc: [f32; 3],
     /// Varying components pre-divided by clip w (for perspective-correct
     /// interpolation). Fixed-size: no allocation per triangle.
     var_over_w: [[f32; MAX_VARYING_COMPONENTS]; 3],
     front_facing: bool,
+    /// Bounding box clipped to [`clip_rect`], half-open and non-empty.
+    x0: i32,
+    x1: i32,
+    y0: i32,
+    y1: i32,
 }
 
-#[derive(Default, Clone, Copy)]
-struct BandStats {
-    shaded: u64,
-    discarded: u64,
-    written: u64,
-    spmd_batches: u64,
-    scalar_fallbacks: u64,
-    spmd_boxed_slots: u64,
-    profile: OpProfile,
-}
-
-#[allow(clippy::too_many_arguments)]
-fn raster_triangle(
-    program: &Program,
-    shaded: &[ShadedVertex],
-    tri: [usize; 3],
-    layout: &VaryingLayout,
-    bindings: &Bindings<'_>,
-    target: &mut TargetImage<'_>,
-    config: &RasterConfig,
-    stats: &mut DrawStats,
-) -> Result<bool, GlError> {
-    let verts = [&shaded[tri[0]], &shaded[tri[1]], &shaded[tri[2]]];
-    // No clipping in this subset: drop triangles behind the eye.
-    if verts.iter().any(|v| v.clip[3] <= 0.0) {
-        return Ok(false);
+impl TriangleSetup {
+    /// Edge weights `[w_bc, w_ca, w_ab]` (for vertices A, B, C) at pixel
+    /// centre `(pxc, pyc)`, or `None` when the top-left fill rule leaves
+    /// the centre outside.
+    fn weights(&self, pxc: f64, pyc: f64) -> Option<[f64; 3]> {
+        let [ax, bx, cx] = self.sx;
+        let [ay, by, cy] = self.sy;
+        let w_ab = edge(ax, ay, bx, by, pxc, pyc);
+        let w_bc = edge(bx, by, cx, cy, pxc, pyc);
+        let w_ca = edge(cx, cy, ax, ay, pxc, pyc);
+        let [tl_ab, tl_bc, tl_ca] = self.top_left;
+        let inside = (w_ab > 0.0 || (w_ab == 0.0 && tl_ab))
+            && (w_bc > 0.0 || (w_bc == 0.0 && tl_bc))
+            && (w_ca > 0.0 || (w_ca == 0.0 && tl_ca));
+        inside.then_some([w_bc, w_ca, w_ab])
     }
+}
+
+/// The pixels fragments may land on — viewport ∩ target ∩ scissor — as
+/// half-open `(x0, y0, x1, y1)`.
+fn clip_rect(config: &RasterConfig, width: u32, height: u32) -> (i32, i32, i32, i32) {
     let (vx, vy, vw, vh) = config.viewport;
+    let rect = (
+        vx.max(0),
+        vy.max(0),
+        (vx + vw).min(width as i32),
+        (vy + vh).min(height as i32),
+    );
+    match config.scissor {
+        Some((sx, sy, sw, sh)) => (
+            rect.0.max(sx),
+            rect.1.max(sy),
+            rect.2.min(sx + sw),
+            rect.3.min(sy + sh),
+        ),
+        None => rect,
+    }
+}
+
+/// Maps one assembled triangle to screen space. `None` when it covers no
+/// pixel of `clip`: behind the eye (no clipping in this subset),
+/// degenerate, or outside the clip rectangle.
+fn setup_triangle(
+    verts: [&ShadedVertex; 3],
+    viewport: (i32, i32, i32, i32),
+    clip: (i32, i32, i32, i32),
+) -> Option<TriangleSetup> {
+    if verts.iter().any(|v| v.clip[3] <= 0.0) {
+        return None;
+    }
+    let (vx, vy, vw, vh) = viewport;
     let mut sx = [0.0f64; 3];
     let mut sy = [0.0f64; 3];
     let mut inv_w = [0.0f32; 3];
@@ -675,21 +721,38 @@ fn raster_triangle(
         sy[k] = vy as f64 + (ndc_y as f64 + 1.0) * 0.5 * vh as f64;
         inv_w[k] = 1.0 / w;
     }
-    let mut order = [0usize, 1, 2];
     let area = edge(sx[0], sy[0], sx[1], sy[1], sx[2], sy[2]);
     if area == 0.0 {
-        return Ok(false);
+        return None;
     }
+    // Reorder to counter-clockwise so all edge functions are positive
+    // inside; remember the original facing for gl_FrontFacing.
     let front_facing = area > 0.0;
-    if area < 0.0 {
-        // Reorder to counter-clockwise so all edge functions are positive
-        // inside; remember original facing for gl_FrontFacing.
-        order = [0, 2, 1];
+    let o = if front_facing { [0, 1, 2] } else { [0, 2, 1] };
+    let (sx, sy) = (
+        [sx[o[0]], sx[o[1]], sx[o[2]]],
+        [sy[o[0]], sy[o[1]], sy[o[2]]],
+    );
+
+    let (clip_x0, clip_y0, clip_x1, clip_y1) = clip;
+    let min = |v: [f64; 3]| v.into_iter().fold(f64::INFINITY, f64::min);
+    let max = |v: [f64; 3]| v.into_iter().fold(f64::NEG_INFINITY, f64::max);
+    let x0 = (min(sx).floor() as i32).max(clip_x0);
+    let x1 = (max(sx).ceil() as i32).min(clip_x1);
+    let y0 = (min(sy).floor() as i32).max(clip_y0);
+    let y1 = (max(sy).ceil() as i32).min(clip_y1);
+    if x0 >= x1 || y0 >= y1 {
+        return None;
     }
-    let o = order;
-    let setup = TriangleSetup {
-        sx: [sx[o[0]], sx[o[1]], sx[o[2]]],
-        sy: [sy[o[0]], sy[o[1]], sy[o[2]]],
+    Some(TriangleSetup {
+        sx,
+        sy,
+        area: edge(sx[0], sy[0], sx[1], sy[1], sx[2], sy[2]),
+        top_left: [
+            accepts_zero_edge(sx[0], sy[0], sx[1], sy[1]),
+            accepts_zero_edge(sx[1], sy[1], sx[2], sy[2]),
+            accepts_zero_edge(sx[2], sy[2], sx[0], sy[0]),
+        ],
         inv_w: [inv_w[o[0]], inv_w[o[1]], inv_w[o[2]]],
         z_ndc: [z_ndc[o[0]], z_ndc[o[1]], z_ndc[o[2]]],
         var_over_w: [
@@ -698,119 +761,141 @@ fn raster_triangle(
             premultiply(&verts[o[2]].varyings, inv_w[o[2]]),
         ],
         front_facing,
-    };
+        x0,
+        x1,
+        y0,
+        y1,
+    })
+}
 
-    // Bounding box clipped to viewport, target and scissor.
-    let min_x = setup.sx.iter().cloned().fold(f64::INFINITY, f64::min);
-    let max_x = setup.sx.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-    let min_y = setup.sy.iter().cloned().fold(f64::INFINITY, f64::min);
-    let max_y = setup.sy.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-
-    let clip_lo_x = vx.max(0);
-    let clip_lo_y = vy.max(0);
-    let clip_hi_x = (vx + vw).min(target.width as i32);
-    let clip_hi_y = (vy + vh).min(target.height as i32);
-    let (clip_lo_x, clip_lo_y, clip_hi_x, clip_hi_y) = match config.scissor {
-        Some((sx0, sy0, sw, sh)) => (
-            clip_lo_x.max(sx0),
-            clip_lo_y.max(sy0),
-            clip_hi_x.min(sx0 + sw),
-            clip_hi_y.min(sy0 + sh),
-        ),
-        None => (clip_lo_x, clip_lo_y, clip_hi_x, clip_hi_y),
-    };
-
-    let x0 = (min_x.floor() as i32).max(clip_lo_x);
-    let x1 = (max_x.ceil() as i32).min(clip_hi_x);
-    let y0 = (min_y.floor() as i32).max(clip_lo_y);
-    let y1 = (max_y.ceil() as i32).min(clip_hi_y);
-    if x0 >= x1 || y0 >= y1 {
-        return Ok(false);
-    }
-
-    let rows = (y1 - y0) as usize;
-    let threads = config.dispatch.threads().min(rows).max(1);
-    let width = target.width as usize;
-    let bpp = target.pixel.bytes_per_pixel();
-    let pixel = target.pixel;
-
-    let band_results: Vec<Result<BandStats, GlError>> = if threads == 1 {
-        let color = &mut *target.color;
-        let depth = target.depth.as_deref_mut();
-        vec![raster_band(
-            program, layout, &setup, bindings, config, width, x0, x1, y0, y1, color, 0, depth,
-            pixel,
-        )]
-    } else {
-        // Split the target rows y0..y1 into contiguous bands.
-        let rows_per_band = rows.div_ceil(threads);
-        let mut bands: Vec<(i32, i32)> = Vec::new();
-        let mut y = y0;
-        while y < y1 {
-            let end = (y + rows_per_band as i32).min(y1);
-            bands.push((y, end));
-            y = end;
-        }
-        // Carve the color (and depth) buffers into per-band mutable slices.
-        let mut color_slices: Vec<&mut [u8]> = Vec::with_capacity(bands.len());
-        let mut depth_slices: Vec<Option<&mut [f32]>> = Vec::with_capacity(bands.len());
-        {
-            let mut color_rest: &mut [u8] = target.color;
-            let mut consumed_rows = 0usize;
-            let mut depth_rest: Option<&mut [f32]> = target.depth.as_deref_mut();
-            for &(by0, by1) in &bands {
-                let skip_rows = by0 as usize - consumed_rows;
-                let take_rows = (by1 - by0) as usize;
-                let (_, after_skip) = color_rest.split_at_mut(skip_rows * width * bpp);
-                let (band, rest) = after_skip.split_at_mut(take_rows * width * bpp);
-                color_slices.push(band);
-                color_rest = rest;
-                depth_rest = match depth_rest {
-                    Some(d) => {
-                        let (_, after_skip) = d.split_at_mut(skip_rows * width);
-                        let (band, rest) = after_skip.split_at_mut(take_rows * width);
-                        depth_slices.push(Some(band));
-                        Some(rest)
-                    }
-                    None => {
-                        depth_slices.push(None);
-                        None
-                    }
-                };
-                consumed_rows = by1 as usize;
-            }
-        }
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(bands.len());
-            for ((&(by0, by1), color_band), depth_band) in
-                bands.iter().zip(color_slices).zip(depth_slices)
-            {
-                let setup = &setup;
-                handles.push(scope.spawn(move || {
-                    raster_band(
-                        program, layout, setup, bindings, config, width, x0, x1, by0, by1,
-                        color_band, by0, depth_band, pixel,
-                    )
-                }));
-            }
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("raster worker panicked"))
-                .collect()
+/// Splits rows `y0..y1` into `bands` contiguous row ranges whose sizes
+/// differ by at most one row (fewer bands when there are fewer rows).
+fn split_rows(y0: i32, y1: i32, bands: usize) -> Vec<(i32, i32)> {
+    let rows = (y1 - y0).max(0) as usize;
+    let n = bands.min(rows).max(1);
+    (0..n)
+        .map(|i| {
+            let lo = y0 + (rows * i / n) as i32;
+            let hi = y0 + (rows * (i + 1) / n) as i32;
+            (lo, hi)
         })
-    };
+        .collect()
+}
 
-    for result in band_results {
-        let band = result?;
-        stats.fragments_shaded += band.shaded;
-        stats.fragments_discarded += band.discarded;
-        stats.pixels_written += band.written;
-        stats.spmd_batches += band.spmd_batches;
-        stats.scalar_fallbacks += band.scalar_fallbacks;
-        stats.spmd_boxed_slots += band.spmd_boxed_slots;
-        stats.fs_profile.merge(&band.profile);
+#[derive(Default, Clone, Copy)]
+struct BandStats {
+    shaded: u64,
+    discarded: u64,
+    written: u64,
+    spmd_batches: u64,
+    scalar_fallbacks: u64,
+    spmd_boxed_slots: u64,
+    profile: OpProfile,
+}
+
+impl BandStats {
+    fn add_to(&self, stats: &mut DrawStats) {
+        stats.fragments_shaded += self.shaded;
+        stats.fragments_discarded += self.discarded;
+        stats.pixels_written += self.written;
+        stats.spmd_batches += self.spmd_batches;
+        stats.scalar_fallbacks += self.scalar_fallbacks;
+        stats.spmd_boxed_slots += self.spmd_boxed_slots;
+        stats.fs_profile.merge(&self.profile);
     }
-    Ok(true)
+}
+
+/// A band's first error, tagged with the index of the triangle that
+/// raised it (0 for failures before any triangle ran).
+type BandError = (usize, GlError);
+
+/// Rasterises every triangle of a draw. The rows the triangles cover are
+/// split into one band per dispatch thread; each band runs all triangles
+/// over its own rows, in draw order, on one fragment executor. The
+/// calling thread runs the first band and scoped threads the rest.
+///
+/// Bands are disjoint row ranges, so each pixel still sees the draw's
+/// triangles in order, and depth tests and stores behave exactly as a
+/// serial walk. Splitting the whole draw keeps the bands balanced: a
+/// half-quad triangle puts 3/4 of its fragments in the wide half of its
+/// rows, so banding each triangle alone would cap two threads at
+/// 1/0.75 = 1.33x.
+///
+/// The error returned is the one a serial walk would hit first: the
+/// lowest-indexed triangle's, and within it the lowest band's.
+fn raster_triangles(
+    program: &Program,
+    setups: &[TriangleSetup],
+    layout: &VaryingLayout,
+    bindings: &Bindings<'_>,
+    target: &mut TargetImage<'_>,
+    config: &RasterConfig,
+    stats: &mut DrawStats,
+) -> Result<(), GlError> {
+    let (Some(y0), Some(y1)) = (
+        setups.iter().map(|s| s.y0).min(),
+        setups.iter().map(|s| s.y1).max(),
+    ) else {
+        return Ok(());
+    };
+    let bands = split_rows(y0, y1, config.dispatch.threads());
+    let width = target.width as usize;
+    let pixel = target.pixel;
+    let row_bytes = width * pixel.bytes_per_pixel();
+
+    // Carve the colour (and depth) rows y0..y1 into per-band slices.
+    let mut color_rest: &mut [u8] = &mut target.color[y0 as usize * row_bytes..];
+    let mut depth_rest = target
+        .depth
+        .as_deref_mut()
+        .map(|d| &mut d[y0 as usize * width..]);
+    let mut jobs = Vec::with_capacity(bands.len());
+    for &(by0, by1) in &bands {
+        let rows = (by1 - by0) as usize;
+        let (color, rest) = std::mem::take(&mut color_rest).split_at_mut(rows * row_bytes);
+        color_rest = rest;
+        let depth = depth_rest.take().map(|d| {
+            let (band, rest) = d.split_at_mut(rows * width);
+            depth_rest = Some(rest);
+            band
+        });
+        jobs.push((by0, by1, color, depth));
+    }
+
+    let run = |(by0, by1, color, depth)| {
+        raster_band(
+            program, layout, setups, bindings, config, width, by0, by1, color, depth, pixel,
+        )
+    };
+    let results: Vec<Result<BandStats, BandError>> = std::thread::scope(|scope| {
+        let mut jobs = jobs.into_iter();
+        let first = jobs.next().expect("split_rows yields at least one band");
+        let workers: Vec<_> = jobs.map(|job| scope.spawn(move || run(job))).collect();
+        let mut results = Vec::with_capacity(bands.len());
+        results.push(run(first));
+        results.extend(
+            workers
+                .into_iter()
+                .map(|h| h.join().expect("raster worker panicked")),
+        );
+        results
+    });
+
+    let mut first_error: Option<BandError> = None;
+    for result in results {
+        match result {
+            Ok(band) => band.add_to(stats),
+            Err((tri, e)) => {
+                if first_error.as_ref().is_none_or(|(first, _)| tri < *first) {
+                    first_error = Some((tri, e));
+                }
+            }
+        }
+    }
+    match first_error {
+        Some((_, e)) => Err(e),
+        None => Ok(()),
+    }
 }
 
 /// Pre-divides varying components by clip `w` into a fixed-size buffer
@@ -909,6 +994,37 @@ fn flush_spmd_batch(
     }
 }
 
+/// Builds a band's fragment executor with the uniforms applied, and
+/// pre-resolves its per-fragment inputs (each varying, then
+/// `gl_FragCoord`) so the inner loops store through plain slot indices.
+/// A shader the SPMD lowerer rejected counts one scalar fallback.
+fn fragment_stage<'a>(
+    program: &'a Program,
+    bindings: &'a Bindings<'a>,
+    config: &RasterConfig,
+    layout: &VaryingLayout,
+    band: &mut BandStats,
+) -> Result<(StageExec<'a>, Vec<u32>, u32), GlError> {
+    let mut fs = StageExec::for_fragment(program, bindings, config)?;
+    if matches!(config.exec_mode, ExecMode::Spmd { .. }) && !matches!(fs, StageExec::Spmd(_)) {
+        band.scalar_fallbacks += 1;
+    }
+    apply_uniforms(&mut fs, program);
+    let varying_slots = layout
+        .names
+        .iter()
+        .map(|(name, _, _)| {
+            fs.resolve(name).ok_or_else(|| {
+                GlError::invalid_op(format!("fragment shader lost varying `{name}`"))
+            })
+        })
+        .collect::<Result<_, _>>()?;
+    let fragcoord_slot = fs
+        .resolve("gl_FragCoord")
+        .ok_or_else(|| GlError::invalid_op("fragment shader lost gl_FragCoord"))?;
+    Ok((fs, varying_slots, fragcoord_slot))
+}
+
 /// Rasterises every shaded vertex as a point sprite (serial dispatch —
 /// point counts in GPGPU scatter passes equal the output size, and each
 /// point touches few pixels). Varyings pass through uninterpolated, per
@@ -923,24 +1039,9 @@ fn raster_points(
     stats: &mut DrawStats,
 ) -> Result<(), GlError> {
     let mut band = BandStats::default();
-    let mut fs = StageExec::for_fragment(program, bindings, config)?;
-    if matches!(config.exec_mode, ExecMode::Spmd { .. }) && !matches!(fs, StageExec::Spmd(_)) {
-        band.scalar_fallbacks += 1;
-    }
-    apply_uniforms(&mut fs, program);
+    let (mut fs, varying_slots, fragcoord_slot) =
+        fragment_stage(program, bindings, config, layout, &mut band)?;
     let _ = fs.set_global("gl_FrontFacing", Value::Bool(true));
-    let varying_slots: Vec<u32> = layout
-        .names
-        .iter()
-        .map(|(name, _, _)| {
-            fs.resolve(name).ok_or_else(|| {
-                GlError::invalid_op(format!("fragment shader lost varying `{name}`"))
-            })
-        })
-        .collect::<Result<_, _>>()?;
-    let fragcoord_slot = fs
-        .resolve("gl_FragCoord")
-        .ok_or_else(|| GlError::invalid_op("fragment shader lost gl_FragCoord"))?;
     // A batch may only span points when no depth buffer is observable:
     // two points can cover the same pixel, and the second must see the
     // first's depth write. Pixels within one point are unique.
@@ -950,19 +1051,8 @@ fn raster_points(
     let mut batch_z = [0.0f32; MAX_LANES];
 
     let (vx, vy, vw, vh) = config.viewport;
-    let clip_lo_x = vx.max(0);
-    let clip_lo_y = vy.max(0);
-    let clip_hi_x = (vx + vw).min(target.width as i32);
-    let clip_hi_y = (vy + vh).min(target.height as i32);
-    let (clip_lo_x, clip_lo_y, clip_hi_x, clip_hi_y) = match config.scissor {
-        Some((sx0, sy0, sw, sh)) => (
-            clip_lo_x.max(sx0),
-            clip_lo_y.max(sy0),
-            clip_hi_x.min(sx0 + sw),
-            clip_hi_y.min(sy0 + sh),
-        ),
-        None => (clip_lo_x, clip_lo_y, clip_hi_x, clip_hi_y),
-    };
+    let (clip_lo_x, clip_lo_y, clip_hi_x, clip_hi_y) =
+        clip_rect(config, target.width, target.height);
     let width = target.width as usize;
 
     for v in shaded {
@@ -1098,90 +1188,96 @@ fn raster_points(
             )?;
         }
     }
-    stats.fragments_shaded += band.shaded;
-    stats.fragments_discarded += band.discarded;
-    stats.pixels_written += band.written;
-    stats.spmd_batches += band.spmd_batches;
-    stats.scalar_fallbacks += band.scalar_fallbacks;
-    stats.spmd_boxed_slots += band.spmd_boxed_slots;
-    stats.fs_profile.merge(&fs.take_profile());
+    band.profile = fs.take_profile();
+    band.add_to(stats);
     Ok(())
 }
 
-/// Rasterises rows `y0..y1` of one triangle into a band buffer whose first
-/// row corresponds to target row `band_base`.
+/// Rasterises target rows `y0..y1` of every triangle, in draw order,
+/// into a band buffer whose first row is target row `y0`.
 #[allow(clippy::too_many_arguments)]
 fn raster_band(
     program: &Program,
     layout: &VaryingLayout,
-    setup: &TriangleSetup,
+    setups: &[TriangleSetup],
     bindings: &Bindings<'_>,
     config: &RasterConfig,
     width: usize,
-    x0: i32,
-    x1: i32,
     y0: i32,
     y1: i32,
     color: &mut [u8],
-    band_base: i32,
     mut depth: Option<&mut [f32]>,
     pixel: PixelStore,
-) -> Result<BandStats, GlError> {
+) -> Result<BandStats, BandError> {
     let mut band = BandStats::default();
-    let mut fs = StageExec::for_fragment(program, bindings, config)?;
-    if matches!(config.exec_mode, ExecMode::Spmd { .. }) && !matches!(fs, StageExec::Spmd(_)) {
-        band.scalar_fallbacks += 1;
+    let (mut fs, varying_slots, fragcoord_slot) =
+        fragment_stage(program, bindings, config, layout, &mut band).map_err(|e| (0, e))?;
+
+    for (tri, setup) in setups.iter().enumerate() {
+        let rows = (setup.y0.max(y0), setup.y1.min(y1));
+        if rows.0 >= rows.1 {
+            continue;
+        }
+        let _ = fs.set_global("gl_FrontFacing", Value::Bool(setup.front_facing));
+        raster_band_triangle(
+            &mut fs,
+            layout,
+            setup,
+            &varying_slots,
+            fragcoord_slot,
+            config,
+            width,
+            rows,
+            y0,
+            color,
+            &mut depth,
+            pixel,
+            &mut band,
+        )
+        .map_err(|e| (tri, e))?;
     }
-    apply_uniforms(&mut fs, program);
-    let _ = fs.set_global("gl_FrontFacing", Value::Bool(setup.front_facing));
-    // Pre-resolve per-fragment stores once per band: inside the loop the
-    // VM path is a plain indexed slot write, no string comparisons.
-    let varying_slots: Vec<u32> = layout
-        .names
-        .iter()
-        .map(|(name, _, _)| {
-            fs.resolve(name).ok_or_else(|| {
-                GlError::invalid_op(format!("fragment shader lost varying `{name}`"))
-            })
-        })
-        .collect::<Result<_, _>>()?;
-    let fragcoord_slot = fs
-        .resolve("gl_FragCoord")
-        .ok_or_else(|| GlError::invalid_op("fragment shader lost gl_FragCoord"))?;
+    band.profile = fs.take_profile();
+    Ok(band)
+}
 
-    let [ax, bx, cx] = setup.sx;
-    let [ay, by, cy] = setup.sy;
-    let area = edge(ax, ay, bx, by, cx, cy);
-    debug_assert!(area > 0.0);
-
-    let top_left_ab = accepts_zero_edge(ax, ay, bx, by);
-    let top_left_bc = accepts_zero_edge(bx, by, cx, cy);
-    let top_left_ca = accepts_zero_edge(cx, cy, ax, ay);
-
+/// Shades one triangle's fragments in target rows `rows.0..rows.1` of a
+/// band whose first row is target row `band_base`.
+#[allow(clippy::too_many_arguments)]
+fn raster_band_triangle(
+    fs: &mut StageExec<'_>,
+    layout: &VaryingLayout,
+    setup: &TriangleSetup,
+    varying_slots: &[u32],
+    fragcoord_slot: u32,
+    config: &RasterConfig,
+    width: usize,
+    rows: (i32, i32),
+    band_base: i32,
+    color: &mut [u8],
+    depth: &mut Option<&mut [f32]>,
+    pixel: PixelStore,
+    band: &mut BandStats,
+) -> Result<(), GlError> {
     let mut comps = [0.0f32; MAX_VARYING_COMPONENTS];
     // SPMD batch state: accepted fragments become lanes; their deferred
-    // depth/colour destinations retire at flush (band pixels are unique,
-    // so deferral is invisible). Batches never span triangles or bands.
+    // depth/colour destinations retire at flush (a triangle's pixels are
+    // unique, so deferral is invisible). A batch never spans triangles —
+    // a later triangle's depth test must see this one's writes — nor
+    // bands, which own disjoint rows.
     let mut batch_n = 0usize;
     let mut batch_pixel = [0usize; MAX_LANES];
     let mut batch_z = [0.0f32; MAX_LANES];
 
-    for py in y0..y1 {
+    for py in rows.0..rows.1 {
         let pyc = py as f64 + 0.5;
-        for px in x0..x1 {
+        for px in setup.x0..setup.x1 {
             let pxc = px as f64 + 0.5;
-            let w_ab = edge(ax, ay, bx, by, pxc, pyc); // weight for vertex C
-            let w_bc = edge(bx, by, cx, cy, pxc, pyc); // weight for vertex A
-            let w_ca = edge(cx, cy, ax, ay, pxc, pyc); // weight for vertex B
-            let inside = (w_ab > 0.0 || (w_ab == 0.0 && top_left_ab))
-                && (w_bc > 0.0 || (w_bc == 0.0 && top_left_bc))
-                && (w_ca > 0.0 || (w_ca == 0.0 && top_left_ca));
-            if !inside {
+            let Some([w_bc, w_ca, w_ab]) = setup.weights(pxc, pyc) else {
                 continue;
-            }
-            let la = (w_bc / area) as f32;
-            let lb = (w_ca / area) as f32;
-            let lc = (w_ab / area) as f32;
+            };
+            let la = (w_bc / setup.area) as f32;
+            let lb = (w_ca / setup.area) as f32;
+            let lc = (w_ab / setup.area) as f32;
 
             // Perspective-correct interpolation.
             let denom = la * setup.inv_w[0] + lb * setup.inv_w[1] + lc * setup.inv_w[2];
@@ -1205,9 +1301,9 @@ fn raster_band(
                     + lc * setup.var_over_w[2][idx];
                 *slot = num / denom;
             }
-            if let StageExec::Spmd(vm) = &mut fs {
+            if let StageExec::Spmd(vm) = fs {
                 let mut offset = 0usize;
-                for ((_, ty, len), slot) in layout.names.iter().zip(&varying_slots) {
+                for ((_, ty, len), slot) in layout.names.iter().zip(varying_slots) {
                     let value = rebuild_varying(ty, &comps[offset..offset + len]);
                     offset += len;
                     vm.set_lane_slot(batch_n, *slot, value);
@@ -1228,9 +1324,9 @@ fn raster_band(
                         &batch_z,
                         config,
                         color,
-                        &mut depth,
+                        depth,
                         pixel,
-                        &mut band,
+                        band,
                     )?;
                     batch_n = 0;
                 }
@@ -1238,7 +1334,7 @@ fn raster_band(
             }
 
             let mut offset = 0usize;
-            for ((name, ty, len), slot) in layout.names.iter().zip(&varying_slots) {
+            for ((name, ty, len), slot) in layout.names.iter().zip(varying_slots) {
                 let value = rebuild_varying(ty, &comps[offset..offset + len]);
                 offset += len;
                 fs.set_resolved(*slot, name, value);
@@ -1270,9 +1366,9 @@ fn raster_band(
             band.written += 1;
         }
     }
-    // Partial-band tail: fragments left over when the band ends before
-    // filling a full batch.
-    if let StageExec::Spmd(vm) = &mut fs {
+    // Partial tail: fragments left over when the triangle's rows end
+    // before filling a full batch.
+    if let StageExec::Spmd(vm) = fs {
         if batch_n > 0 {
             flush_spmd_batch(
                 vm,
@@ -1281,14 +1377,13 @@ fn raster_band(
                 &batch_z,
                 config,
                 color,
-                &mut depth,
+                depth,
                 pixel,
-                &mut band,
+                band,
             )?;
         }
     }
-    band.profile = fs.take_profile();
-    Ok(band)
+    Ok(())
 }
 
 fn rebuild_varying(ty: &Type, comps: &[f32]) -> Value {
@@ -1362,6 +1457,86 @@ mod tests {
             let forward = accepts_zero_edge(ax, ay, bx, by);
             let backward = accepts_zero_edge(bx, by, ax, ay);
             assert_ne!(forward, backward, "edge ({ax},{ay})→({bx},{by})");
+        }
+    }
+
+    #[test]
+    fn split_rows_is_contiguous_and_even() {
+        assert_eq!(split_rows(0, 256, 3), vec![(0, 85), (85, 170), (170, 256)]);
+        assert_eq!(split_rows(5, 7, 7), vec![(5, 6), (6, 7)]);
+        assert_eq!(split_rows(3, 9, 1), vec![(3, 9)]);
+        for (rows, bands) in [(17, 4), (256, 7), (3, 16), (1, 2)] {
+            let split = split_rows(10, 10 + rows, bands);
+            assert_eq!(split.len(), bands.min(rows as usize));
+            assert_eq!(split[0].0, 10);
+            assert_eq!(split.last().map(|b| b.1), Some(10 + rows));
+            assert!(split.windows(2).all(|w| w[0].1 == w[1].0));
+            let sizes = split.iter().map(|(lo, hi)| hi - lo);
+            assert!(sizes.clone().max().unwrap() - sizes.min().unwrap() <= 1);
+        }
+    }
+
+    /// Fragments `setups` cover in target rows `y0..y1`.
+    fn fragments_in(setups: &[TriangleSetup], (y0, y1): (i32, i32)) -> u64 {
+        let mut n = 0;
+        for s in setups {
+            for py in s.y0.max(y0)..s.y1.min(y1) {
+                for px in s.x0..s.x1 {
+                    n += u64::from(s.weights(px as f64 + 0.5, py as f64 + 0.5).is_some());
+                }
+            }
+        }
+        n
+    }
+
+    #[test]
+    fn whole_draw_bands_balance_the_fullscreen_quad() {
+        // `gpes_core::geometry::FULLSCREEN_QUAD` (gpes-core sits above this
+        // crate): two triangles sharing the (-1, -1)–(1, 1) diagonal.
+        const FULLSCREEN_QUAD: [[f32; 2]; 6] = [
+            [-1.0, -1.0],
+            [1.0, -1.0],
+            [1.0, 1.0],
+            [-1.0, -1.0],
+            [1.0, 1.0],
+            [-1.0, 1.0],
+        ];
+        let verts: Vec<ShadedVertex> = FULLSCREEN_QUAD
+            .iter()
+            .map(|&[x, y]| ShadedVertex {
+                clip: [x, y, 0.0, 1.0],
+                varyings: Vec::new(),
+                point_size: 1.0,
+            })
+            .collect();
+        let viewport = (0, 0, 256, 256);
+        let setups: Vec<TriangleSetup> = assemble(PrimitiveMode::Triangles, 6)
+            .iter()
+            .filter_map(|t| {
+                let tri = [&verts[t[0]], &verts[t[1]], &verts[t[2]]];
+                setup_triangle(tri, viewport, (0, 0, 256, 256))
+            })
+            .collect();
+        assert_eq!(setups.len(), 2);
+
+        // Whole-draw bands: both halves of the target hold the same share
+        // of the quad's 65,536 fragments, to within one row.
+        let bands = split_rows(0, 256, 2);
+        let counts: Vec<u64> = bands.iter().map(|&b| fragments_in(&setups, b)).collect();
+        assert_eq!(counts.iter().sum::<u64>(), 256 * 256);
+        assert!(counts[0].abs_diff(counts[1]) <= 256, "{counts:?}");
+
+        // The per-triangle split it replaced banded each triangle's own
+        // rows: the wide half holds 3/4 of a half-quad's fragments, 3:1
+        // against the narrow half, so two threads stayed under
+        // 1/0.75 = 1.33x.
+        for setup in &setups {
+            let halves: Vec<u64> = split_rows(setup.y0, setup.y1, 2)
+                .iter()
+                .map(|&b| fragments_in(std::slice::from_ref(setup), b))
+                .collect();
+            let (wide, narrow) = (halves[0].max(halves[1]), halves[0].min(halves[1]));
+            assert!(wide.abs_diff(3 * narrow) <= 3 * 256, "{halves:?}");
         }
     }
 
